@@ -129,6 +129,6 @@ int main(int argc, char** argv) {
   json.set("pif_all_ok", all_ok);
   json.set("me_all_served", served);
   json.set("me_exclusion", exclusion);
-  json.write_if_requested(args);
-  return 0;
+  if (!json.write_if_requested(args)) return 1;
+  return (all_ok && served && exclusion) ? 0 : 1;
 }

@@ -77,6 +77,7 @@ int main(int argc, char** argv) {
         return all;
       },
       120s);
+  rt.shutdown();  // join the node threads before reading the counter
 
   const long long expected = static_cast<long long>(grants.load());
   std::printf("grants served      : %d\n", grants.load());

@@ -92,6 +92,7 @@ int main() {
   for (int p = 0; p < kN; ++p)
     rt.add_process(std::make_unique<svc::ServiceHost>(host_config(p)));
   if (!client_program(rt, "ThreadRuntime (one thread per process)")) return 1;
+  rt.shutdown();  // the node threads serve until stopped
 
   // Backend 3: the real-wire runtime — same hosts, same program, but every
   // message is a UDP datagram through the kernel's loopback stack.

@@ -28,7 +28,7 @@
 //   A8/A9 receive-fck<YES|NO>     -> Privileges[q] := true|false
 //   A10 receive-fck<OK>           -> nothing
 //
-// Deviations from the paper (see DESIGN.md §6):
+// Deviations from the paper (each pinned by tests/test_me.cpp):
 //  * Value advances modulo n, not the paper's literal (n+1): the declared
 //    domain is {0..n-1} and value n would favour nobody forever — a
 //    deadlock, reproduced by `paper_faithful_increment` and the regression

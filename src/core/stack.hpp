@@ -63,8 +63,9 @@ class PifProcess final : public svc::ServiceHost {
 class IdlProcess final : public svc::ServiceHost {
  public:
   // `unsafe_lower_layer_first` reverses the tick order (PIF before IDL),
-  // reopening the ghost-feedback window of DESIGN.md §6.3 — FOR THE
-  // ABLATION EXPERIMENT ONLY.
+  // reopening the ghost-feedback window pinned by the regression
+  // Idl.GhostFeedbackInTheStartWindowCannotPoisonMinId (tests/test_idl.cpp)
+  // — FOR THE ABLATION EXPERIMENT (bench/exp_ablation.cpp) ONLY.
   IdlProcess(std::int64_t id, int degree, int channel_capacity,
              bool unsafe_lower_layer_first = false);
 };

@@ -5,9 +5,8 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <algorithm>
-#include <cerrno>
-#include <cstring>
+#include <atomic>
+#include <mutex>
 
 #include "common/check.hpp"
 
@@ -38,318 +37,172 @@ int bind_udp(std::uint16_t port, std::uint16_t* bound) {
 
 }  // namespace
 
-// Context backend bound to one hosted node. Only used by the owning
-// thread while it holds the node mutex (same discipline as the
-// ThreadRuntime's NodeContext).
-class SocketRuntime::NodeContext final : public sim::ContextBackend {
+// One UDP socket per hosted node, reached through a per-node port table.
+// A receive attempt reads one datagram; the first EAGAIN ends the
+// activation's receives (no empty recv per remaining channel).
+class UdpTransport final : public runtime::Transport {
  public:
-  NodeContext(SocketRuntime& rt, Node& node) : rt_(rt), node_(node) {}
-
-  int degree() const override { return rt_.topology_.degree(node_.id); }
-
-  bool send(int channel_index, const Message& m) override {
-    const sim::EdgeId e = rt_.topology_.out_edge(node_.id, channel_index);
-    return rt_.send_frame(node_, e, m);
+  UdpTransport(const runtime::HostRuntime& rt,
+               const std::vector<std::uint16_t>& ports)
+      : topology_(rt.topology()), pool_(rt.string_pool()) {
+    const auto n = static_cast<std::size_t>(topology_.process_count());
+    SNAPSTAB_CHECK_MSG(ports.empty() || ports.size() == n,
+                       "ports must name one UDP port per node");
+    port_table_ = ports;
+    port_table_.resize(n, 0);
+    fds_.assign(n, -1);
+    bufs_.resize(n);
+    for (int p = 0; p < topology_.process_count(); ++p) {
+      if (!rt.hosts(p)) {
+        SNAPSTAB_CHECK_MSG(
+            !ports.empty(),
+            "hosting a node subset requires an explicit per-node port table");
+        continue;
+      }
+      const auto i = static_cast<std::size_t>(p);
+      fds_[i] = bind_udp(port_table_[i], &port_table_[i]);
+      bufs_[i].resize(kMaxDatagramSize);
+    }
+    inject_fd_ = ::socket(AF_INET, SOCK_DGRAM, 0);
+    SNAPSTAB_CHECK_MSG(inject_fd_ >= 0, "cannot open the injection socket");
   }
 
-  void observe(sim::Layer layer, sim::ObsKind kind, int peer,
-               const Value& value) override {
-    const std::uint64_t step =
-        rt_.event_counter_.fetch_add(1, std::memory_order_relaxed);
-    std::lock_guard<std::mutex> lock(rt_.log_mu_);
-    rt_.log_.push_back(
-        sim::Observation{step, node_.id, layer, kind, peer, value});
+  ~UdpTransport() override {
+    for (const int fd : fds_)
+      if (fd >= 0) ::close(fd);
+    ::close(inject_fd_);
   }
 
-  Rng& rng() override { return node_.rng; }
-
-  std::uint64_t now() const override {
-    return rt_.event_counter_.load(std::memory_order_relaxed);
+  std::uint16_t port(int node) const {
+    return port_table_[static_cast<std::size_t>(node)];
   }
+
+  bool send(sim::EdgeId e, const Message& m) override {
+    const std::uint16_t dst_port = port(topology_.edge_dst(e));
+    if (dst_port == 0) return false;  // remote node with no known port
+    const std::vector<std::uint8_t> frame = encode_frame(e, m, pool_);
+    const sockaddr_in addr = loopback_addr(dst_port);
+    const ssize_t sent = ::sendto(
+        fds_[static_cast<std::size_t>(topology_.edge_src(e))], frame.data(),
+        frame.size(), 0, reinterpret_cast<const sockaddr*>(&addr),
+        sizeof addr);
+    if (sent != static_cast<ssize_t>(frame.size())) return false;
+    stats_.datagrams_sent.fetch_add(1, std::memory_order_relaxed);
+    return true;
+  }
+
+  Poll receive(int p, int /*k*/, runtime::Inbound& in) override {
+    const auto i = static_cast<std::size_t>(p);
+    std::vector<std::uint8_t>& buf = bufs_[i];
+    const ssize_t r = ::recv(fds_[i], buf.data(), buf.size(), MSG_DONTWAIT);
+    if (r < 0) return Poll::Drained;  // EAGAIN (or a transient error)
+    stats_.datagrams_received.fetch_add(1, std::memory_order_relaxed);
+    const DecodedFrame frame =
+        decode_frame(buf.data(), static_cast<std::size_t>(r), pool_);
+    stats_.by_result[static_cast<std::size_t>(frame.result)].fetch_add(
+        1, std::memory_order_relaxed);
+    if (!frame.ok()) return Poll::Nothing;  // counted, never delivered
+    if (frame.edge < 0 || frame.edge >= topology_.edge_count() ||
+        topology_.edge_dst(frame.edge) != p) {
+      stats_.bad_edge.fetch_add(1, std::memory_order_relaxed);
+      return Poll::Nothing;
+    }
+    in.edge = frame.edge;
+    in.message = frame.message;
+    return Poll::Message;
+  }
+
+  // A burst of 1..3 validly framed garbage messages on edge `e` (the
+  // in-channel garbage of the paper's fault model) plus one raw-noise
+  // datagram that must die in frame validation.
+  void inject_garbage(sim::EdgeId e, Rng& rng,
+                      const std::function<Message()>& random_message) override {
+    const int dst = topology_.edge_dst(e);
+    const std::size_t count = 1 + rng.below(3);
+    for (std::size_t i = 0; i < count; ++i) {
+      const std::vector<std::uint8_t> frame =
+          encode_frame(e, random_message(), pool_);
+      inject(dst, frame.data(), frame.size());
+    }
+    std::array<std::uint8_t, 48> noise;
+    for (auto& b : noise) b = static_cast<std::uint8_t>(rng.below(256));
+    inject(dst, noise.data(), noise.size());
+  }
+
+  bool inject(int dst, const void* data, std::size_t size) {
+    const std::uint16_t dst_port = port(dst);
+    if (dst_port == 0) return false;
+    const sockaddr_in addr = loopback_addr(dst_port);
+    std::lock_guard<std::mutex> lock(inject_mu_);
+    return ::sendto(inject_fd_, data, size, 0,
+                    reinterpret_cast<const sockaddr*>(&addr),
+                    sizeof addr) == static_cast<ssize_t>(size);
+  }
+
+  struct Stats {
+    std::atomic<std::uint64_t> datagrams_sent{0};
+    std::atomic<std::uint64_t> datagrams_received{0};
+    std::array<std::atomic<std::uint64_t>, kWireFrameResultCount> by_result{};
+    std::atomic<std::uint64_t> bad_edge{0};
+  };
+  const Stats& stats() const noexcept { return stats_; }
 
  private:
-  SocketRuntime& rt_;
-  Node& node_;
+  const sim::Topology& topology_;
+  StringPool& pool_;
+  std::vector<std::uint16_t> port_table_;        // node id -> UDP port
+  std::vector<int> fds_;                         // node id -> socket | -1
+  std::vector<std::vector<std::uint8_t>> bufs_;  // node id -> recv buffer
+  int inject_fd_ = -1;
+  std::mutex inject_mu_;
+  Stats stats_;
 };
 
 SocketRuntime::SocketRuntime(sim::Topology topology,
                              SocketRuntimeOptions options)
-    : topology_(std::move(topology)),
-      n_(topology_.process_count()),
-      options_(std::move(options)),
-      pool_(&current_string_pool()) {
-  SNAPSTAB_CHECK_MSG(topology_.connected(),
-                     "the model requires a connected network");
-  SNAPSTAB_CHECK_MSG(
-      options_.ports.empty() ||
-          options_.ports.size() == static_cast<std::size_t>(n_),
-      "ports must name one UDP port per node");
-
-  std::vector<int> hosted = options_.local_nodes;
-  if (hosted.empty())
-    for (int i = 0; i < n_; ++i) hosted.push_back(i);
-  std::sort(hosted.begin(), hosted.end());
-  SNAPSTAB_CHECK_MSG(
-      std::adjacent_find(hosted.begin(), hosted.end()) == hosted.end(),
-      "duplicate node in local_nodes");
-  SNAPSTAB_CHECK_MSG(
-      hosted.size() == static_cast<std::size_t>(n_) || !options_.ports.empty(),
-      "hosting a node subset requires an explicit per-node port table");
-
-  local_slot_.assign(static_cast<std::size_t>(n_), -1);
-  port_table_.assign(static_cast<std::size_t>(n_), 0);
-  for (int i = 0; i < n_; ++i)
-    if (!options_.ports.empty())
-      port_table_[static_cast<std::size_t>(i)] =
-          options_.ports[static_cast<std::size_t>(i)];
-
-  Rng seeder(options_.seed);
-  locals_.reserve(hosted.size());
-  for (const int p : hosted) {
-    SNAPSTAB_CHECK(p >= 0 && p < n_);
-    auto node = std::make_unique<Node>();
-    node->id = p;
-    node->rng = seeder.fork(static_cast<std::uint64_t>(p) + 1);
-    node->filter_rng =
-        Rng(options_.seed ^ 0x50CE7F17ull).fork(static_cast<std::uint64_t>(p));
-    std::uint16_t bound = 0;
-    node->fd = bind_udp(port_table_[static_cast<std::size_t>(p)], &bound);
-    port_table_[static_cast<std::size_t>(p)] = bound;
-    local_slot_[static_cast<std::size_t>(p)] =
-        static_cast<int>(locals_.size());
-    locals_.push_back(std::move(node));
-  }
-
-  edge_faults_ = std::make_unique<EdgeFault[]>(
-      static_cast<std::size_t>(topology_.edge_count()));
-
-  inject_fd_ = ::socket(AF_INET, SOCK_DGRAM, 0);
-  SNAPSTAB_CHECK_MSG(inject_fd_ >= 0, "cannot open the injection socket");
+    : HostRuntime(std::move(topology), options.seed, options.loss_rate,
+                  std::move(options.local_nodes)) {
+  auto transport = std::make_unique<UdpTransport>(*this, options.ports);
+  udp_ = transport.get();
+  attach(std::move(transport));
 }
 
 SocketRuntime::SocketRuntime(int process_count, SocketRuntimeOptions options)
     : SocketRuntime(sim::Topology::complete(process_count),
                     std::move(options)) {}
 
-SocketRuntime::~SocketRuntime() {
-  shutdown();
-  for (auto& node : locals_)
-    if (node->fd >= 0) ::close(node->fd);
-  if (inject_fd_ >= 0) ::close(inject_fd_);
-}
-
-bool SocketRuntime::hosts(int node) const noexcept {
-  return node >= 0 && node < n_ &&
-         local_slot_[static_cast<std::size_t>(node)] >= 0;
-}
-
 std::uint16_t SocketRuntime::port_of(int node) const {
-  SNAPSTAB_CHECK(node >= 0 && node < n_);
-  const std::uint16_t port = port_table_[static_cast<std::size_t>(node)];
+  SNAPSTAB_CHECK(node >= 0 && node < process_count());
+  const std::uint16_t port = udp_->port(node);
   SNAPSTAB_CHECK_MSG(port != 0, "no port known for a remote node");
   return port;
 }
 
-SocketRuntime::Node& SocketRuntime::local(int p) {
-  SNAPSTAB_CHECK_MSG(hosts(p), "node is not hosted by this process");
-  return *locals_[static_cast<std::size_t>(
-      local_slot_[static_cast<std::size_t>(p)])];
-}
-
-void SocketRuntime::add_process(std::unique_ptr<sim::Process> p) {
-  SNAPSTAB_CHECK(p != nullptr);
-  for (auto& node : locals_) {
-    if (node->process == nullptr) {
-      node->process = std::move(p);
-      return;
-    }
-  }
-  SNAPSTAB_CHECK_MSG(false, "more processes than hosted nodes");
-}
-
-bool SocketRuntime::send_frame(Node& node, sim::EdgeId e, const Message& m) {
-  const int dst = topology_.edge_dst(e);
-  const std::uint16_t port = port_table_[static_cast<std::size_t>(dst)];
-  if (port == 0) return false;  // remote node with no known port
-  const std::vector<std::uint8_t> frame = encode_frame(e, m, *pool_);
-  const sockaddr_in addr = loopback_addr(port);
-  const ssize_t sent =
-      ::sendto(node.fd, frame.data(), frame.size(), 0,
-               reinterpret_cast<const sockaddr*>(&addr), sizeof addr);
-  if (sent != static_cast<ssize_t>(frame.size())) return false;
-  stats_.datagrams_sent.fetch_add(1, std::memory_order_relaxed);
-  return true;
-}
-
 bool SocketRuntime::inject_datagram(int dst_node, const void* data,
                                     std::size_t size) {
-  SNAPSTAB_CHECK(dst_node >= 0 && dst_node < n_);
-  const std::uint16_t port = port_table_[static_cast<std::size_t>(dst_node)];
-  if (port == 0) return false;
-  const sockaddr_in addr = loopback_addr(port);
-  std::lock_guard<std::mutex> lock(inject_mu_);
-  return ::sendto(inject_fd_, data, size, 0,
-                  reinterpret_cast<const sockaddr*>(&addr),
-                  sizeof addr) == static_cast<ssize_t>(size);
-}
-
-void SocketRuntime::set_edge_drop(sim::EdgeId e, double rate) {
-  SNAPSTAB_CHECK(e >= 0 && e < topology_.edge_count());
-  edge_faults_[static_cast<std::size_t>(e)].drop.store(
-      rate, std::memory_order_relaxed);
-}
-
-void SocketRuntime::set_edge_duplicate(sim::EdgeId e, double rate) {
-  SNAPSTAB_CHECK(e >= 0 && e < topology_.edge_count());
-  edge_faults_[static_cast<std::size_t>(e)].duplicate.store(
-      rate, std::memory_order_relaxed);
-}
-
-void SocketRuntime::set_edge_down(sim::EdgeId e, bool down) {
-  SNAPSTAB_CHECK(e >= 0 && e < topology_.edge_count());
-  edge_faults_[static_cast<std::size_t>(e)].down.store(
-      down, std::memory_order_relaxed);
-}
-
-void SocketRuntime::clear_edge_faults() {
-  for (int e = 0; e < topology_.edge_count(); ++e) {
-    auto& f = edge_faults_[static_cast<std::size_t>(e)];
-    f.drop.store(0.0, std::memory_order_relaxed);
-    f.duplicate.store(0.0, std::memory_order_relaxed);
-    f.down.store(false, std::memory_order_relaxed);
-  }
-}
-
-void SocketRuntime::thread_main(Node& node) {
-  // Every node thread interns into the runtime's shared pool, exactly
-  // like the ThreadRuntime's node threads.
-  ScopedStringPool pool_scope(*pool_);
-  NodeContext backend(*this, node);
-  sim::Context ctx(backend);
-  std::vector<std::uint8_t> buf(kMaxDatagramSize);
-  const int degree = topology_.degree(node.id);
-  while (!stop_.load(std::memory_order_relaxed)) {
-    {
-      std::lock_guard<std::mutex> lock(node.mu);
-      sim::Process& proc = *node.process;
-      // Budget one datagram per incident channel per activation (the
-      // ThreadRuntime's drain rule); a busy process receives nothing and
-      // the kernel socket buffer holds the backlog.
-      if (!proc.busy()) {
-        for (int k = 0; k < degree && !proc.busy(); ++k) {
-          const ssize_t r =
-              ::recv(node.fd, buf.data(), buf.size(), MSG_DONTWAIT);
-          if (r < 0) break;  // EAGAIN: nothing pending (or a transient error)
-          stats_.datagrams_received.fetch_add(1, std::memory_order_relaxed);
-          const DecodedFrame frame =
-              decode_frame(buf.data(), static_cast<std::size_t>(r), *pool_);
-          stats_.by_result[static_cast<std::size_t>(frame.result)].fetch_add(
-              1, std::memory_order_relaxed);
-          if (!frame.ok()) continue;  // counted and dropped, never delivered
-          if (frame.edge < 0 || frame.edge >= topology_.edge_count() ||
-              topology_.edge_dst(frame.edge) != node.id) {
-            stats_.bad_edge.fetch_add(1, std::memory_order_relaxed);
-            continue;
-          }
-          // The socket-level fault filter: between recv and dispatch.
-          const auto& fault =
-              edge_faults_[static_cast<std::size_t>(frame.edge)];
-          if (fault.down.load(std::memory_order_relaxed)) {
-            stats_.down_drops.fetch_add(1, std::memory_order_relaxed);
-            continue;
-          }
-          if (options_.loss_rate > 0.0 &&
-              node.filter_rng.chance(options_.loss_rate)) {
-            stats_.loss_drops.fetch_add(1, std::memory_order_relaxed);
-            continue;
-          }
-          const double drop = fault.drop.load(std::memory_order_relaxed);
-          if (drop > 0.0 && node.filter_rng.chance(drop)) {
-            stats_.filter_drops.fetch_add(1, std::memory_order_relaxed);
-            continue;
-          }
-          const int ch = topology_.edge_index_at_dst(frame.edge);
-          proc.on_message(ctx, ch, frame.message);
-          stats_.delivered.fetch_add(1, std::memory_order_relaxed);
-          const double dup = fault.duplicate.load(std::memory_order_relaxed);
-          if (dup > 0.0 && node.filter_rng.chance(dup) && !proc.busy()) {
-            proc.on_message(ctx, ch, frame.message);
-            stats_.delivered.fetch_add(1, std::memory_order_relaxed);
-            stats_.filter_duplicates.fetch_add(1, std::memory_order_relaxed);
-          }
-        }
-      }
-      if (proc.tick_enabled()) proc.on_tick(ctx);
-    }
-    if (options_.activation_pause.count() > 0)
-      std::this_thread::sleep_for(options_.activation_pause);
-    else
-      std::this_thread::yield();
-  }
-}
-
-void SocketRuntime::start() {
-  if (started_.exchange(true, std::memory_order_acq_rel)) return;
-  for (const auto& node : locals_)
-    SNAPSTAB_CHECK_MSG(node->process != nullptr,
-                       "install all hosted processes before start()");
-  for (auto& node : locals_) {
-    Node* raw = node.get();
-    node->thread = std::thread([this, raw] { thread_main(*raw); });
-  }
-}
-
-bool SocketRuntime::run(const std::function<bool()>& done,
-                        std::chrono::milliseconds timeout) {
-  if (stop_.load(std::memory_order_acquire)) return done();  // shut down
-  start();
-  const auto deadline = std::chrono::steady_clock::now() + timeout;
-  while (std::chrono::steady_clock::now() < deadline) {
-    if (done()) return true;
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  return done();
-}
-
-void SocketRuntime::shutdown() {
-  stop_.store(true, std::memory_order_release);
-  for (auto& node : locals_)
-    if (node->thread.joinable()) node->thread.join();
-}
-
-std::vector<sim::Observation> SocketRuntime::observations() const {
-  std::lock_guard<std::mutex> lock(log_mu_);
-  return log_;
-}
-
-void SocketRuntime::observe_external(int process, sim::Layer layer,
-                                     sim::ObsKind kind, int peer,
-                                     const Value& value) {
-  const std::uint64_t step =
-      event_counter_.fetch_add(1, std::memory_order_relaxed);
-  std::lock_guard<std::mutex> lock(log_mu_);
-  log_.push_back(sim::Observation{step, process, layer, kind, peer, value});
+  SNAPSTAB_CHECK(dst_node >= 0 && dst_node < process_count());
+  return udp_->inject(dst_node, data, size);
 }
 
 SocketRuntime::WireStats SocketRuntime::wire_stats() const {
+  constexpr auto relaxed = std::memory_order_relaxed;
+  const UdpTransport::Stats& s = udp_->stats();
   WireStats out;
-  out.datagrams_sent = stats_.datagrams_sent.load(std::memory_order_relaxed);
-  out.datagrams_received =
-      stats_.datagrams_received.load(std::memory_order_relaxed);
-  out.delivered = stats_.delivered.load(std::memory_order_relaxed);
+  out.datagrams_sent = s.datagrams_sent.load(relaxed);
+  out.datagrams_received = s.datagrams_received.load(relaxed);
   for (int i = 0; i < kWireFrameResultCount; ++i) {
     const std::uint64_t c =
-        stats_.by_result[static_cast<std::size_t>(i)].load(
-            std::memory_order_relaxed);
+        s.by_result[static_cast<std::size_t>(i)].load(relaxed);
     out.by_result[static_cast<std::size_t>(i)] = c;
     if (i != static_cast<int>(WireFrameResult::Ok)) out.rejected_frames += c;
   }
-  out.bad_edge = stats_.bad_edge.load(std::memory_order_relaxed);
-  out.loss_drops = stats_.loss_drops.load(std::memory_order_relaxed);
-  out.filter_drops = stats_.filter_drops.load(std::memory_order_relaxed);
-  out.filter_duplicates =
-      stats_.filter_duplicates.load(std::memory_order_relaxed);
-  out.down_drops = stats_.down_drops.load(std::memory_order_relaxed);
+  out.bad_edge = s.bad_edge.load(relaxed);
+  const FilterStats f = filter_stats();
+  out.delivered = f.delivered;
+  out.loss_drops = f.loss_drops;
+  out.filter_drops = f.filter_drops;
+  out.filter_duplicates = f.filter_duplicates;
+  out.down_drops = f.down_drops;
   return out;
 }
 

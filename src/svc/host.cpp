@@ -474,7 +474,9 @@ void ServiceHost::on_tick(sim::Context& ctx) {
     return;
   }
   if (cfg_.unsafe_lower_layer_first && idl_ != nullptr) {
-    // Ablation only: reopens the ghost-feedback window of DESIGN.md §6.3.
+    // Ablation only: reopens the ghost-feedback window that the upper-first
+    // order below closes (ablation B of bench/exp_ablation.cpp; regression
+    // Idl.GhostFeedbackInTheStartWindowCannotPoisonMinId).
     pif_->tick(ctx);
     idl_->tick(ctx);
     poll_sessions(ctx);

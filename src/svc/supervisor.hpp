@@ -2,13 +2,13 @@
 //
 // A Supervisor wraps svc::Client with the driver-side recovery discipline
 // the fault engine requires: every supervised request gets a per-attempt
-// deadline (engine steps on the Simulator backend, wall milliseconds on the
-// ThreadRuntime), a retry budget with seeded exponential backoff, and a
-// guaranteed *terminal* SessionOutcome — Ok, Refused, Expired or GaveUp —
-// instead of a silent hang. That is the snap-stabilization contract seen
-// from the client's chair: a request caught by a transient fault may fail,
-// but it fails *visibly*, and a fresh attempt issued after the fault ceases
-// succeeds.
+// deadline (engine steps on the Simulator backend, wall milliseconds on a
+// HostRuntime, over either transport), a retry budget with seeded
+// exponential backoff, and a guaranteed *terminal* SessionOutcome — Ok,
+// Refused, Expired or GaveUp — instead of a silent hang. That is the
+// snap-stabilization contract seen from the client's chair: a request
+// caught by a transient fault may fail, but it fails *visibly*, and a fresh
+// attempt issued after the fault ceases succeeds.
 //
 // Determinism: the supervisor draws backoff jitter only from its own seeded
 // stream, and on the Simulator backend measures time purely in steps — the
@@ -98,7 +98,7 @@ struct HedgeOptions {
 
 struct SuperviseOptions {
   // Per-attempt deadline and backoff pacing, in the backend's clock units:
-  // engine steps (Simulator) or milliseconds (ThreadRuntime).
+  // engine steps (Simulator) or milliseconds (HostRuntime).
   std::uint64_t attempt_deadline = 50'000;
   int retry_budget = 3;  // resubmissions allowed after the initial attempt
   std::uint64_t backoff_base = 64;
@@ -139,8 +139,10 @@ class Supervisor {
   // stop predicate. Simulator: quiescent spells (backoff timers pending
   // while no step is enabled) fast-forward deterministically, and flying
   // attempts that can never finish are expired — so this always terminates
-  // with every ticket settled. Returns false when the step/wall budget
-  // forced the settlement rather than the protocol finishing.
+  // with every ticket settled. HostRuntime: one wall-clock run bounded by
+  // `opts.timeout`; tickets still live at the end (or on a runtime already
+  // shut down) are settled. Returns false when the step/wall budget forced
+  // the settlement rather than the protocol finishing.
   bool run_all(AwaitOptions opts = {});
 
   // Called at the start of every pump(): the fault tests chain the

@@ -1,5 +1,6 @@
-// test_runtime.cpp — the thread runtime: the same protocol objects under
-// real concurrency, bounded lossy mailboxes and the binary wire format.
+// test_runtime.cpp — the wall-clock HostRuntime: the same protocol objects
+// under real concurrency, bounded lossy mailboxes and the binary wire
+// format, plus the loop behaviour both transports share.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -9,6 +10,7 @@
 #include "core/stack.hpp"
 #include "fault/plan.hpp"
 #include "fault/runtime_injector.hpp"
+#include "net/socket_runtime.hpp"
 #include "runtime/thread_runtime.hpp"
 
 namespace snapstab::runtime {
@@ -258,11 +260,12 @@ TEST(RuntimeInjector, StormCeasesAndFreshRequestCompletes) {
   EXPECT_GT(inj.counters().crashes, 0u) << plan.repro_line();
 }
 
-TEST(ThreadRuntime, ObservationsAreMonotonic) {
-  const int n = 2;
-  ThreadRuntime rt(n, {.seed = 17});
-  for (int i = 0; i < n; ++i)
-    rt.add_process(std::make_unique<core::PifProcess>(n - 1, 1));
+// The shared log takes each step under its mutex, so concurrent node
+// threads append in step order.
+void expect_observations_monotonic(HostRuntime& rt) {
+  for (int i = 0; i < rt.process_count(); ++i)
+    rt.add_process(
+        std::make_unique<core::PifProcess>(rt.process_count() - 1, 1));
   rt.with_process<core::PifProcess>(0, [](core::PifProcess& p) {
     p.pif().request(Value::integer(1));
     return 0;
@@ -273,10 +276,57 @@ TEST(ThreadRuntime, ObservationsAreMonotonic) {
             0, [](core::PifProcess& p) { return p.pif().done(); });
       },
       10s);
+  rt.shutdown();
   const auto obs = rt.observations();
   ASSERT_FALSE(obs.empty());
   for (std::size_t i = 1; i < obs.size(); ++i)
     EXPECT_LT(obs[i - 1].step, obs[i].step);
+}
+
+TEST(ThreadRuntime, ObservationsAreMonotonic) {
+  ThreadRuntime rt(2, {.seed = 17});
+  expect_observations_monotonic(rt);
+}
+
+TEST(SocketRuntime, ObservationsAreMonotonic) {
+  net::SocketRuntime rt(2, {.seed = 17});
+  expect_observations_monotonic(rt);
+}
+
+// The shared fault filter on the mailbox transport: a downed edge still
+// fills and drains its mailbox, but nothing on it reaches the receiver.
+TEST(ThreadRuntime, EdgeDownStopsDeliveriesUntilCleared) {
+  const int n = 3;
+  ThreadRuntime rt(n, {.seed = 37});
+  for (int i = 0; i < n; ++i)
+    rt.add_process(std::make_unique<core::PifProcess>(n - 1, 1));
+  const sim::EdgeId feedback = rt.topology().edge_between(1, 0);
+  rt.set_edge_down(feedback, true);
+  rt.with_process<core::PifProcess>(0, [](core::PifProcess& p) {
+    p.pif().request(Value::text("cut"));
+    return 0;
+  });
+  const auto pif_done = [&rt] {
+    return rt.with_process<core::PifProcess>(
+        0, [](core::PifProcess& p) { return p.pif().done(); });
+  };
+  // Node 1's feedback never arrives, so the wave cannot decide.
+  EXPECT_FALSE(rt.run(pif_done, 300ms));
+  const HostRuntime::FilterStats cut = rt.filter_stats();
+  EXPECT_GT(cut.down_drops, 0u);
+  EXPECT_GT(rt.mailbox(1, 0).stats().popped, 0u);
+  // The flag handshake with node 1 stalls, so only node 2, whose edges
+  // kept delivering, saw the broadcast.
+  std::vector<int> brd(n, 0);
+  for (const auto& e : rt.observations())
+    if (e.kind == sim::ObsKind::RecvBrd && e.value == Value::text("cut"))
+      ++brd[static_cast<std::size_t>(e.process)];
+  EXPECT_EQ(brd, (std::vector<int>{0, 0, 1}));
+
+  rt.clear_edge_faults();
+  EXPECT_TRUE(rt.run(pif_done, 10s));
+  rt.shutdown();
+  EXPECT_GT(rt.filter_stats().delivered, cut.delivered);
 }
 
 }  // namespace

@@ -46,6 +46,7 @@
 #include "net/wire.hpp"
 #include "svc/client.hpp"
 #include "svc/host.hpp"
+#include "svc/supervisor.hpp"
 
 namespace snapstab {
 namespace {
@@ -447,6 +448,28 @@ TEST(SocketLoopback, RecoversFromInjectedDatagramLoss) {
   for (const auto& s : sessions)
     EXPECT_TRUE(client.result(s).completed)
         << svc::service_name(s.key.service) << " repro: seed=" << kSeed;
+}
+
+TEST(SocketLoopback, SupervisorSettlesARequest) {
+  // The supervisor's wall-clock path runs on any HostRuntime, sockets
+  // included: deadlines in milliseconds, one run bounded by the timeout.
+  const int n = 3;
+  net::SocketRuntime srt(n, {.seed = 606});
+  for (int p = 0; p < n; ++p)
+    srt.add_process(std::make_unique<core::PifProcess>(n - 1, 1));
+  svc::Client client(srt);
+  svc::SuperviseOptions so;
+  so.attempt_deadline = 20'000;
+  so.retry_budget = 1;
+  svc::Supervisor sup(client, so);
+  const auto t = sup.supervise(0, svc::PifBroadcast{Value::text("supervised")});
+  const bool settled = sup.run_all({.timeout = 30'000ms});
+  srt.shutdown();
+  EXPECT_TRUE(settled);
+  ASSERT_TRUE(sup.terminal(t));
+  EXPECT_EQ(sup.outcome(t), svc::SessionOutcome::Ok);
+  EXPECT_EQ(sup.result(t).value, Value::text("supervised"));
+  EXPECT_EQ(sup.attempts(t), 1);
 }
 
 // ---------------------------------------------------------------------------

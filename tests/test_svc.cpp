@@ -17,6 +17,8 @@
 #include "core/forward_world.hpp"
 #include "core/specs.hpp"
 #include "core/stack.hpp"
+#include "net/socket_runtime.hpp"
+#include "runtime/thread_runtime.hpp"
 #include "sim/fuzz.hpp"
 #include "sim/simulator.hpp"
 #include "svc/client.hpp"
@@ -422,8 +424,8 @@ TEST(SvcAwait, ThreadRuntimeTimeoutReturnsFalseAndSecondAwaitDoesNotCrash) {
   AwaitOptions opts;
   opts.timeout = std::chrono::milliseconds(50);
   EXPECT_FALSE(client.run_until(s, opts));
-  // The runtime is one-shot; a retry after the timeout must poll and
-  // report false, not trip the one-shot assertion.
+  // The node threads keep serving: a retry after the timeout waits out its
+  // own budget and reports false again.
   EXPECT_FALSE(client.run_until(s, opts));
   EXPECT_FALSE(client.done(s));
 }
@@ -665,8 +667,8 @@ TEST(SvcAwait, SimulatorBudgetVerdictIsTypedAndRetryable) {
   // a bigger budget finishes the same session. (A quiescent Simulator with
   // incomplete sessions would read RuntimeDown, but the snap-stabilizing
   // protocols retransmit: even a fully wiped channel set re-enables, which
-  // is exactly why the typed verdict matters on the ThreadRuntime, where
-  // the one-shot run really can die under the await.)
+  // is exactly why the typed verdict matters on a HostRuntime, which a
+  // shutdown() really can stop under the await.)
   AwaitOptions tight;
   tight.max_steps = 2;
   EXPECT_EQ(client.await_all({s}, tight), AwaitResult::BudgetExhausted);
@@ -677,22 +679,31 @@ TEST(SvcAwait, SimulatorBudgetVerdictIsTypedAndRetryable) {
   EXPECT_TRUE(client.result(s).completed);
 }
 
-TEST(SvcAwait, ThreadRuntimeDistinguishesTimeoutFromDeadRuntime) {
-  const int n = 3;
-  // Total loss: the wave cannot complete, so the first await ends at the
-  // wall budget while the runtime is still live — BudgetExhausted. The
-  // runtime is one-shot, so after that run the threads have joined and a
-  // second await can only report RuntimeDown.
-  runtime::ThreadRuntime rt(n, {.loss_rate = 1.0, .seed = 95});
-  for (int i = 0; i < n; ++i)
-    rt.add_process(std::make_unique<core::PifProcess>(n - 1, 1));
+// Total loss: the wave cannot complete, so every await on the live
+// runtime ends at its wall budget — BudgetExhausted, however often it is
+// retried. Only shutdown() makes the runtime terminal: RuntimeDown.
+template <typename Runtime>
+void expect_timeouts_then_shutdown(Runtime& rt) {
+  for (int i = 0; i < rt.process_count(); ++i)
+    rt.add_process(
+        std::make_unique<core::PifProcess>(rt.process_count() - 1, 1));
   Client client(rt);
   const Session s = client.submit(0, PifBroadcast{Value::integer(6)});
   AwaitOptions opts;
   opts.timeout = std::chrono::milliseconds(50);
   EXPECT_EQ(client.await_all({s}, opts), AwaitResult::BudgetExhausted);
+  EXPECT_EQ(client.await_all({s}, opts), AwaitResult::BudgetExhausted);
+  rt.shutdown();
   EXPECT_EQ(client.await_all({s}, opts), AwaitResult::RuntimeDown);
   EXPECT_FALSE(client.done(s));
+}
+
+TEST(SvcAwait, HostRuntimeDistinguishesTimeoutFromShutdown) {
+  const int n = 3;
+  runtime::ThreadRuntime rt(n, {.loss_rate = 1.0, .seed = 95});
+  expect_timeouts_then_shutdown(rt);
+  net::SocketRuntime srt(n, {.seed = 95, .loss_rate = 1.0});
+  expect_timeouts_then_shutdown(srt);
 }
 
 }  // namespace
