@@ -11,8 +11,10 @@
 //
 // Verdicts:
 //   * all-recovered — every session of every cell completed, INCLUDING the
-//     cells running under >= 10% injected datagram loss (the paper's lossy
-//     unbounded channel, realized by a network that actually drops);
+//     cells running under >= 10% injected datagram loss (a lossy channel
+//     realized by a network that actually drops; each node drains its
+//     socket into per-edge inboxes of capacity c, and the cells report the
+//     frames those inboxes lost as inbox overflow);
 //   * hostile traffic died in frame validation — a garbage stanza fires
 //     noise and corrupted frames at a live cell and requires every one
 //     rejected (counted, never delivered, never a crash).
@@ -44,11 +46,15 @@ double ms_between(Clock::time_point a, Clock::time_point b) {
   return std::chrono::duration<double, std::milli>(b - a).count();
 }
 
+// The channel capacity c the hosts are configured for and the sockets'
+// inboxes enforce.
+constexpr int kCapacity = 1;
+
 svc::HostConfig cell_config(int p, int n) {
   svc::HostConfig cfg;
   cfg.id = 100 - p;
   cfg.degree = n - 1;
-  cfg.channel_capacity = 1;
+  cfg.channel_capacity = kCapacity;
   cfg.with_election = true;
   return cfg;
 }
@@ -63,6 +69,7 @@ struct Cell {
   double round_max_ms = 0.0;   // slowest round: recovery latency under loss
   std::uint64_t datagrams = 0;
   std::uint64_t loss_drops = 0;
+  std::uint64_t inbox_overflow = 0;
   std::uint64_t seed = 0;
 };
 
@@ -73,7 +80,9 @@ Cell run_cell(int n, double loss, int rounds, std::uint64_t seed) {
   cell.rounds = rounds;
   cell.seed = seed;
 
-  net::SocketRuntime srt(n, {.seed = seed, .loss_rate = loss});
+  net::SocketRuntime srt(n, {.seed = seed,
+                             .loss_rate = loss,
+                             .channel_capacity = kCapacity});
   for (int p = 0; p < n; ++p)
     srt.add_process(std::make_unique<svc::ServiceHost>(cell_config(p, n)));
   svc::Client client(srt);
@@ -103,6 +112,7 @@ Cell run_cell(int n, double loss, int rounds, std::uint64_t seed) {
   const auto stats = srt.wire_stats();
   cell.datagrams = stats.datagrams_sent;
   cell.loss_drops = stats.loss_drops;
+  cell.inbox_overflow = stats.inbox_overflow;
   return cell;
 }
 
@@ -115,7 +125,7 @@ struct GarbageStats {
 
 GarbageStats run_garbage(int n, int bursts, std::uint64_t seed) {
   GarbageStats g;
-  net::SocketRuntime srt(n, {.seed = seed});
+  net::SocketRuntime srt(n, {.seed = seed, .channel_capacity = kCapacity});
   for (int p = 0; p < n; ++p)
     srt.add_process(std::make_unique<svc::ServiceHost>(cell_config(p, n)));
   srt.start();
@@ -177,7 +187,8 @@ int main(int argc, char** argv) {
           seed + static_cast<std::uint64_t>(cells.size()) * 101));
 
   TextTable t({"n", "loss", "sessions", "completed", "sess/s",
-               "slowest round (ms)", "datagrams", "loss drops"});
+               "slowest round (ms)", "datagrams", "loss drops",
+               "inbox overflow"});
   bool all_recovered = true;
   bool lossy_cell_seen = false;
   for (const Cell& c : cells) {
@@ -198,7 +209,8 @@ int main(int argc, char** argv) {
                                1),
                TextTable::cell(c.round_max_ms, 1),
                TextTable::cell(static_cast<std::int64_t>(c.datagrams)),
-               TextTable::cell(static_cast<std::int64_t>(c.loss_drops))});
+               TextTable::cell(static_cast<std::int64_t>(c.loss_drops)),
+               TextTable::cell(static_cast<std::int64_t>(c.inbox_overflow))});
   }
   t.print();
 
@@ -239,12 +251,14 @@ int main(int argc, char** argv) {
                   "{\"n\":%d,\"loss\":%.2f,\"sessions\":%d,"
                   "\"completed\":%d,\"sessions_per_s\":%.1f,"
                   "\"round_max_ms\":%.1f,\"datagrams\":%llu,"
-                  "\"loss_drops\":%llu,\"seed\":%llu}",
+                  "\"loss_drops\":%llu,\"inbox_overflow\":%llu,"
+                  "\"seed\":%llu}",
                   c.n, c.loss, c.sessions, c.completed,
                   c.wall_ms > 0.0 ? 1000.0 * c.sessions / c.wall_ms : 0.0,
                   c.round_max_ms,
                   static_cast<unsigned long long>(c.datagrams),
                   static_cast<unsigned long long>(c.loss_drops),
+                  static_cast<unsigned long long>(c.inbox_overflow),
                   static_cast<unsigned long long>(c.seed));
     cell_json += buf;
   }

@@ -6,9 +6,11 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <memory>
 #include <mutex>
 
 #include "common/check.hpp"
+#include "sim/channel.hpp"
 
 namespace snapstab::net {
 namespace {
@@ -38,20 +40,23 @@ int bind_udp(std::uint16_t port, std::uint16_t* bound) {
 }  // namespace
 
 // One UDP socket per hosted node, reached through a per-node port table.
-// A receive attempt reads one datagram; the first EAGAIN ends the
-// activation's receives (no empty recv per remaining channel).
+// Attempt 0 of an activation drains the node's socket into one bounded FIFO
+// inbox per in-edge; attempt k pops the inbox of in-edge k.
 class UdpTransport final : public runtime::Transport {
  public:
   UdpTransport(const runtime::HostRuntime& rt,
-               const std::vector<std::uint16_t>& ports)
+               const std::vector<std::uint16_t>& ports,
+               std::size_t channel_capacity)
       : topology_(rt.topology()), pool_(rt.string_pool()) {
     const auto n = static_cast<std::size_t>(topology_.process_count());
     SNAPSTAB_CHECK_MSG(ports.empty() || ports.size() == n,
                        "ports must name one UDP port per node");
+    SNAPSTAB_CHECK_MSG(channel_capacity >= 1,
+                       "the channel capacity c must be at least 1");
     port_table_ = ports;
     port_table_.resize(n, 0);
     fds_.assign(n, -1);
-    bufs_.resize(n);
+    inboxes_ = std::make_unique<Inbox[]>(n);
     for (int p = 0; p < topology_.process_count(); ++p) {
       if (!rt.hosts(p)) {
         SNAPSTAB_CHECK_MSG(
@@ -61,7 +66,9 @@ class UdpTransport final : public runtime::Transport {
       }
       const auto i = static_cast<std::size_t>(p);
       fds_[i] = bind_udp(port_table_[i], &port_table_[i]);
-      bufs_[i].resize(kMaxDatagramSize);
+      inboxes_[i].buf.resize(kMaxDatagramSize);
+      for (int k = 0; k < topology_.degree(p); ++k)
+        inboxes_[i].edges.emplace_back(channel_capacity);
     }
     inject_fd_ = ::socket(AF_INET, SOCK_DGRAM, 0);
     SNAPSTAB_CHECK_MSG(inject_fd_ >= 0, "cannot open the injection socket");
@@ -91,25 +98,14 @@ class UdpTransport final : public runtime::Transport {
     return true;
   }
 
-  Poll receive(int p, int /*k*/, runtime::Inbound& in) override {
-    const auto i = static_cast<std::size_t>(p);
-    std::vector<std::uint8_t>& buf = bufs_[i];
-    const ssize_t r = ::recv(fds_[i], buf.data(), buf.size(), MSG_DONTWAIT);
-    if (r < 0) return Poll::Drained;  // EAGAIN (or a transient error)
-    stats_.datagrams_received.fetch_add(1, std::memory_order_relaxed);
-    const DecodedFrame frame =
-        decode_frame(buf.data(), static_cast<std::size_t>(r), pool_);
-    stats_.by_result[static_cast<std::size_t>(frame.result)].fetch_add(
-        1, std::memory_order_relaxed);
-    if (!frame.ok()) return Poll::Nothing;  // counted, never delivered
-    if (frame.edge < 0 || frame.edge >= topology_.edge_count() ||
-        topology_.edge_dst(frame.edge) != p) {
-      stats_.bad_edge.fetch_add(1, std::memory_order_relaxed);
-      return Poll::Nothing;
-    }
-    in.edge = frame.edge;
-    in.message = frame.message;
-    return Poll::Message;
+  bool receive(int p, int k, runtime::Inbound& in) override {
+    Inbox& box = inboxes_[static_cast<std::size_t>(p)];
+    if (k == 0) drain(p, box);
+    sim::Channel& channel = box.edges[static_cast<std::size_t>(k)];
+    if (channel.empty()) return false;
+    in.edge = topology_.in_edge(p, k);
+    in.message = channel.pop();
+    return true;
   }
 
   // A burst of 1..3 validly framed garbage messages on edge `e` (the
@@ -147,12 +143,55 @@ class UdpTransport final : public runtime::Transport {
   };
   const Stats& stats() const noexcept { return stats_; }
 
+  std::uint64_t inbox_overflow() const {
+    std::uint64_t sum = 0;
+    for (int p = 0; p < topology_.process_count(); ++p)
+      sum += inboxes_[static_cast<std::size_t>(p)].overflow.load(
+          std::memory_order_relaxed);
+    return sum;
+  }
+
  private:
+  // A hosted node's receive side. Only the node's own thread touches it,
+  // under its node mutex; `overflow` is also read by wire_stats().
+  struct Inbox {
+    std::vector<std::uint8_t> buf;   // one datagram
+    std::vector<sim::Channel> edges;  // in-edge k's bounded FIFO inbox
+    std::atomic<std::uint64_t> overflow{0};  // frames lost to a full inbox
+  };
+
+  // Reads every datagram pending on node p's socket. Each valid frame is
+  // pushed into the inbox of its in-edge; a push into a full inbox loses
+  // the frame, the model's send-into-a-full-channel rule.
+  void drain(int p, Inbox& box) {
+    constexpr auto relaxed = std::memory_order_relaxed;
+    const int fd = fds_[static_cast<std::size_t>(p)];
+    for (;;) {
+      const ssize_t r =
+          ::recv(fd, box.buf.data(), box.buf.size(), MSG_DONTWAIT);
+      if (r < 0) return;  // EAGAIN (or a transient error)
+      stats_.datagrams_received.fetch_add(1, relaxed);
+      const DecodedFrame frame =
+          decode_frame(box.buf.data(), static_cast<std::size_t>(r), pool_);
+      stats_.by_result[static_cast<std::size_t>(frame.result)].fetch_add(
+          1, relaxed);
+      if (!frame.ok()) continue;  // counted, never delivered
+      if (frame.edge < 0 || frame.edge >= topology_.edge_count() ||
+          topology_.edge_dst(frame.edge) != p) {
+        stats_.bad_edge.fetch_add(1, relaxed);
+        continue;
+      }
+      sim::Channel& channel = box.edges[static_cast<std::size_t>(
+          topology_.edge_index_at_dst(frame.edge))];
+      if (!channel.push(frame.message)) box.overflow.fetch_add(1, relaxed);
+    }
+  }
+
   const sim::Topology& topology_;
   StringPool& pool_;
-  std::vector<std::uint16_t> port_table_;        // node id -> UDP port
-  std::vector<int> fds_;                         // node id -> socket | -1
-  std::vector<std::vector<std::uint8_t>> bufs_;  // node id -> recv buffer
+  std::vector<std::uint16_t> port_table_;  // node id -> UDP port
+  std::vector<int> fds_;                   // node id -> socket | -1
+  std::unique_ptr<Inbox[]> inboxes_;       // node id -> receive side
   int inject_fd_ = -1;
   std::mutex inject_mu_;
   Stats stats_;
@@ -162,7 +201,8 @@ SocketRuntime::SocketRuntime(sim::Topology topology,
                              SocketRuntimeOptions options)
     : HostRuntime(std::move(topology), options.seed, options.loss_rate,
                   std::move(options.local_nodes)) {
-  auto transport = std::make_unique<UdpTransport>(*this, options.ports);
+  auto transport = std::make_unique<UdpTransport>(*this, options.ports,
+                                                  options.channel_capacity);
   udp_ = transport.get();
   attach(std::move(transport));
 }
@@ -197,6 +237,7 @@ SocketRuntime::WireStats SocketRuntime::wire_stats() const {
     if (i != static_cast<int>(WireFrameResult::Ok)) out.rejected_frames += c;
   }
   out.bad_edge = s.bad_edge.load(relaxed);
+  out.inbox_overflow = udp_->inbox_overflow();
   const FilterStats f = filter_stats();
   out.delivered = f.delivered;
   out.loss_drops = f.loss_drops;

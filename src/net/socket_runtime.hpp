@@ -6,11 +6,16 @@
 // lifecycle are the HostRuntime's (runtime/host_runtime.hpp); this file
 // only builds the transport and its wire accounting.
 //
-// Channel model: the socket receive buffer is neither bounded by the
-// protocols' capacity c nor FIFO, so this transport does NOT enforce the
-// paper's bounded lossy FIFO channel. By Theorem 1 snap-stabilization is
-// impossible without that bound; what a run here checks is the weaker
-// property that requests issued after faults cease complete.
+// Channel model: the kernel socket buffer is unbounded, the channel in
+// which Theorem 1 proves snap-stabilization impossible. Each activation
+// therefore drains it into one inbox of capacity c per in-edge
+// (options.channel_capacity, the c the hosts' protocols are configured
+// for), and a frame arriving at a full inbox is lost and counted
+// (WireStats::inbox_overflow). What a node receives is thus bounded by c at
+// each drain, but UDP does not promise FIFO and the frame carries no
+// sequence number, so this transport still does NOT enforce the paper's
+// bounded lossy FIFO channel. What a run here checks is the weaker property
+// that requests issued after faults cease complete.
 //
 // Hosting modes:
 //   * single process (default): one SocketRuntime hosts every node of the
@@ -22,16 +27,20 @@
 //     shared port table; a SIGKILLed process can rebind its port and
 //     rejoin, which is what the fault engine's process-kill path tests.
 //
-// Receive path, per receive attempt of a node's activation:
-//   recv (the first EAGAIN ends the activation's receives) -> decode_frame
-//   (corrupt/truncated datagrams counted and dropped, never delivered) ->
-//   edge validation (must terminate here) -> the HostRuntime's fault
-//   filter -> Process::on_message. Datagrams a busy process leaves unread
-//   queue in the kernel socket buffer.
+// Receive path. Attempt 0 of a node's activation drains its socket until
+// EAGAIN: recv -> decode_frame (corrupt/truncated datagrams counted and
+// dropped, never delivered) -> edge validation (must terminate here) ->
+// push into the in-edge's bounded FIFO inbox (lost and counted when full).
+// Attempt k then pops at most one message from the inbox of in-edge k, the
+// same one-message-per-channel rule as the mailbox transport -> the
+// HostRuntime's fault filter -> Process::on_message. Datagrams a busy
+// process leaves unread queue in the kernel socket buffer until its next
+// drain.
 #ifndef SNAPSTAB_NET_SOCKET_RUNTIME_HPP
 #define SNAPSTAB_NET_SOCKET_RUNTIME_HPP
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -46,6 +55,10 @@ struct SocketRuntimeOptions {
   // genuinely drops): each accepted frame is discarded with this
   // probability before dispatch. The bench ladder's loss knob.
   double loss_rate = 0.0;
+  // The capacity c of each in-edge's inbox, c >= 1. Pass the c the hosted
+  // protocols are configured for (svc::HostConfig::channel_capacity); every
+  // process of a multi-process world passes the same c.
+  std::size_t channel_capacity = 1;
   // One UDP port per node (multi-process mode). Empty: every node binds
   // an ephemeral loopback port, which requires hosting all nodes here.
   std::vector<std::uint16_t> ports;
@@ -72,6 +85,7 @@ class SocketRuntime final : public runtime::HostRuntime {
     std::uint64_t rejected_frames = 0;   // sum of the non-Ok results below
     std::array<std::uint64_t, kWireFrameResultCount> by_result{};
     std::uint64_t bad_edge = 0;       // frame named an edge not inbound here
+    std::uint64_t inbox_overflow = 0;  // valid frames lost to a full inbox
     std::uint64_t loss_drops = 0;     // options.loss_rate discards
     std::uint64_t filter_drops = 0;   // fault-filter drop discards
     std::uint64_t filter_duplicates = 0;

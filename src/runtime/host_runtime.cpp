@@ -166,11 +166,8 @@ void HostRuntime::node_main(Node& node) {
       sim::Process& proc = *node.process;
       // At most one message per incident channel per activation; a busy
       // process (inside its critical section) receives nothing.
-      for (int k = 0; k < degree && !proc.busy(); ++k) {
-        const Transport::Poll r = transport_->receive(node.id, k, in);
-        if (r == Transport::Poll::Drained) break;
-        if (r == Transport::Poll::Message) deliver(node, ctx, in);
-      }
+      for (int k = 0; k < degree && !proc.busy(); ++k)
+        if (transport_->receive(node.id, k, in)) deliver(node, ctx, in);
       if (proc.tick_enabled()) proc.on_tick(ctx);
     }
     std::this_thread::sleep_for(kActivationPause);
@@ -210,16 +207,21 @@ void HostRuntime::shutdown() {
 void HostRuntime::observe_external(int process, sim::Layer layer,
                                    sim::ObsKind kind, int peer,
                                    const Value& value) {
-  // The step is taken under the log mutex, so the log is in step order.
+  // The step is taken under the log mutex, so it is the entry's index.
   std::lock_guard<std::mutex> lock(log_mu_);
-  const std::uint64_t step =
-      event_counter_.fetch_add(1, std::memory_order_relaxed);
-  log_.push_back(sim::Observation{step, process, layer, kind, peer, value});
+  event_counter_.fetch_add(1, std::memory_order_relaxed);
+  log_.push_back(LogEntry{value, process, peer, layer, kind});
 }
 
 std::vector<sim::Observation> HostRuntime::observations() const {
   std::lock_guard<std::mutex> lock(log_mu_);
-  return log_;
+  std::vector<sim::Observation> out;
+  out.reserve(log_.size());
+  std::uint64_t step = 0;
+  for (const LogEntry& e : log_)
+    out.push_back(
+        sim::Observation{step++, e.process, e.layer, e.kind, e.peer, e.value});
+  return out;
 }
 
 HostRuntime::FilterStats HostRuntime::filter_stats() const {

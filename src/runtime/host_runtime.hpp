@@ -27,19 +27,22 @@
 //
 // Channel model. The Mailbox transport is bounded and FIFO (a push into a
 // full mailbox is lost), the model the paper's proofs assume. The UDP
-// transport bounds nothing and does not promise FIFO, so it does not
-// enforce that model; see the README's "Real-wire runtime" section.
+// transport drains its socket into bounded per-edge inboxes, so what a node
+// receives is cut to the capacity c at each drain, but UDP does not promise
+// FIFO; see the README's "Real-wire runtime" section.
 //
 // Concurrency discipline: a process's state is touched only under its node
 // mutex — by its own thread during an activation, or by with_process()
 // from any other thread. The observation log has its own mutex; a step is
-// numbered while that mutex is held, so the log is in step order.
+// numbered while that mutex is held, so step k is the log's k-th entry. The
+// log is a deque, so an append never copies the log under that mutex.
 #ifndef SNAPSTAB_RUNTIME_HOST_RUNTIME_HPP
 #define SNAPSTAB_RUNTIME_HOST_RUNTIME_HPP
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -65,13 +68,6 @@ struct Inbound {
 // synchronize internally.
 class Transport {
  public:
-  // Outcome of one receive attempt.
-  enum class Poll : std::uint8_t {
-    Message,  // `in` holds a message for the receiving node
-    Nothing,  // this attempt yielded nothing deliverable; try the next
-    Drained,  // nothing more is pending: end this activation's receives
-  };
-
   Transport() = default;
   virtual ~Transport() = default;
   Transport(const Transport&) = delete;
@@ -79,8 +75,10 @@ class Transport {
 
   // Puts `m` on directed edge `e`. Returns whether the channel accepted it.
   virtual bool send(sim::EdgeId e, const Message& m) = 0;
-  // Attempt `k` (0 <= k < degree) of one activation of node `p`.
-  virtual Poll receive(int p, int k, Inbound& in) = 0;
+  // Attempt `k` (0 <= k < degree) of one activation of node `p`: at most
+  // one message from the channel of p's k-th in-edge. Returns whether `in`
+  // holds a message; an empty channel never ends the activation.
+  virtual bool receive(int p, int k, Inbound& in) = 0;
   // A ChannelGarbage burst on edge `e`: the transport picks the burst's
   // size and shape; `random_message` draws one garbage message.
   virtual void inject_garbage(sim::EdgeId e, Rng& rng,
@@ -199,6 +197,16 @@ class HostRuntime {
     std::atomic<double> duplicate{0.0};
     std::atomic<bool> down{false};
   };
+  // An Observation without its step, which is the entry's index in the
+  // log: 32 bytes instead of 40.
+  struct LogEntry {
+    Value value;
+    int process;
+    int peer;
+    sim::Layer layer;
+    sim::ObsKind kind;
+  };
+  static_assert(sizeof(LogEntry) == 32);
   class NodeContext;
 
   Node& local(int p);
@@ -220,7 +228,7 @@ class HostRuntime {
   std::atomic<bool> stop_{false};
   std::atomic<std::uint64_t> event_counter_{0};  // advanced under log_mu_
   mutable std::mutex log_mu_;
-  std::vector<sim::Observation> log_;
+  std::deque<LogEntry> log_;
 };
 
 }  // namespace snapstab::runtime

@@ -3,7 +3,7 @@
 namespace snapstab::runtime {
 
 // One Mailbox per directed edge. A receive attempt pops the mailbox of the
-// k-th incident channel, so an empty channel never ends the activation.
+// k-th incident channel.
 class MailboxTransport final : public Transport {
  public:
   MailboxTransport(const sim::Topology& topology, std::size_t capacity,
@@ -22,13 +22,13 @@ class MailboxTransport final : public Transport {
     return at(e).try_push(m);
   }
 
-  Poll receive(int p, int k, Inbound& in) override {
+  bool receive(int p, int k, Inbound& in) override {
     const sim::EdgeId e = topology_.in_edge(p, k);
     auto m = at(e).try_pop();
-    if (!m.has_value()) return Poll::Nothing;
+    if (!m.has_value()) return false;
     in.edge = e;
     in.message = *m;
-    return Poll::Message;
+    return true;
   }
 
   // Replaces the edge's content with 1..capacity garbage messages.

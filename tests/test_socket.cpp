@@ -6,7 +6,9 @@
 //   * loopback sessions: every service completes over real sockets, with
 //     SessionResults identical to the deterministic Simulator's;
 //   * hostile traffic: injected garbage datagrams are counted and dropped
-//     while live sessions keep completing;
+//     while live sessions keep completing, and a stuffed-channel backlog
+//     is cut to the inbox capacity c; every received datagram is
+//     accounted for exactly once;
 //   * injected loss: the flag-counting handshake recovers from ≥15%
 //     datagram loss (seeded — the failure message is the repro line);
 //   * the fault engine: a compiled FaultPlan drives the socket-level
@@ -252,6 +254,24 @@ svc::HostConfig me_config(int p, int n) {
   return cfg;
 }
 
+// Every datagram a hosted socket received is counted exactly once: rejected
+// by frame validation, naming a foreign edge, lost to a full inbox, handed
+// to the fault filter, or still queued in an inbox (at most c per in-edge).
+// Call after shutdown(), when the counters are final.
+void expect_wire_accounting(const net::SocketRuntime::WireStats& s,
+                            std::size_t capacity,
+                            const sim::Topology& topo) {
+  const std::uint64_t to_filter = s.delivered - s.filter_duplicates +
+                                  s.loss_drops + s.filter_drops +
+                                  s.down_drops;
+  const std::uint64_t settled =
+      s.rejected_frames + s.bad_edge + s.inbox_overflow + to_filter;
+  ASSERT_GE(s.datagrams_received, settled);
+  EXPECT_LE(s.datagrams_received - settled,
+            capacity * static_cast<std::uint64_t>(topo.edge_count()))
+      << "more datagrams unaccounted for than the inboxes can hold";
+}
+
 TEST(SocketLoopback, EveryServiceCompletesOverRealSockets) {
   const sim::Topology topo = sim::Topology::complete(4);
   const auto routes = std::make_shared<const sim::RoutingTable>(topo);
@@ -297,6 +317,7 @@ TEST(SocketLoopback, EveryServiceCompletesOverRealSockets) {
                 net::WireFrameResult::BadChecksum)],
             0u);  // loopback corrupts nothing
   EXPECT_EQ(stats.bad_edge, 0u);
+  expect_wire_accounting(stats, 1, topo);
 }
 
 TEST(SocketLoopback, SessionOutcomesMatchTheSimulator) {
@@ -416,6 +437,57 @@ TEST(SocketLoopback, CorruptDatagramsAreCountedAndDropped) {
                                           net::WireFrameResult::Ok)]);
 }
 
+TEST(SocketLoopback, PreloadedBacklogIsCutToCapacity) {
+  // Theorem 1's stuffed channel over real sockets: before the nodes start,
+  // K valid frames for one in-edge of the initiator wait in its kernel
+  // buffer, their flags walking the whole range 0..F so that an unbounded
+  // channel could feed the initiator's handshake. The first drain keeps c
+  // of them and loses the rest, and the broadcast completes on genuine
+  // feedback.
+  const int n = 3;
+  const int kPreload = 200;
+  const sim::Topology topo = sim::Topology::complete(n);
+  for (const std::size_t c : {std::size_t{1}, std::size_t{2}}) {
+    SCOPED_TRACE("c=" + std::to_string(c));
+    net::SocketRuntime srt(topo, {.seed = 1401, .channel_capacity = c});
+    for (int p = 0; p < n; ++p)
+      srt.add_process(
+          std::make_unique<core::PifProcess>(n - 1, static_cast<int>(c)));
+
+    const sim::EdgeId stuffed = topo.in_edge(0, 0);
+    const auto flags = static_cast<std::int32_t>(2 * c + 3);  // 0..F
+    {
+      ScopedStringPool scope(srt.string_pool());
+      for (int i = 0; i < kPreload; ++i) {
+        const auto frame = net::encode_frame(
+            stuffed, Message::pif(Value::text("stale"), Value::text("stale"),
+                                  i % flags, (i + 1) % flags));
+        ASSERT_TRUE(srt.inject_datagram(0, frame.data(), frame.size()));
+      }
+    }
+
+    svc::Client client(srt);
+    const svc::Session s =
+        client.submit(0, svc::PifBroadcast{Value::text("fresh")});
+    const bool done = client.run_until(s, {.timeout = 30'000ms});
+    srt.shutdown();
+    ASSERT_TRUE(done);
+    EXPECT_EQ(client.result(s).value, Value::text("fresh"));
+
+    const auto stats = srt.wire_stats();
+    EXPECT_GE(stats.inbox_overflow, static_cast<std::uint64_t>(kPreload) - c);
+    expect_wire_accounting(stats, c, topo);
+    // Every feedback of the initiator's last wave is genuine.
+    bool in_wave = false;
+    for (const sim::Observation& o : srt.observations()) {
+      if (o.process != 0 || o.layer != sim::Layer::Pif) continue;
+      if (o.kind == sim::ObsKind::Start) in_wave = true;
+      if (in_wave && o.kind == sim::ObsKind::RecvFck)
+        EXPECT_NE(o.value, Value::text("stale")) << "step " << o.step;
+    }
+  }
+}
+
 TEST(SocketLoopback, RecoversFromInjectedDatagramLoss) {
   // ≥15% of accepted datagrams are discarded before dispatch; the
   // flag-counting handshake must still finish every session. The seed is
@@ -445,6 +517,7 @@ TEST(SocketLoopback, RecoversFromInjectedDatagramLoss) {
   ASSERT_TRUE(done) << "repro: socket loss run, seed=" << kSeed
                     << " loss_rate=0.15 n=" << n;
   EXPECT_GT(stats.loss_drops, 0u) << "the loss filter never fired";
+  expect_wire_accounting(stats, 1, topo);
   for (const auto& s : sessions)
     EXPECT_TRUE(client.result(s).completed)
         << svc::service_name(s.key.service) << " repro: seed=" << kSeed;
@@ -530,6 +603,7 @@ TEST(SocketFault, InjectorStormCeasesAndFreshSessionsComplete) {
   // Every garbage burst carries one raw-noise datagram that must die in
   // frame validation.
   EXPECT_GT(srt.wire_stats().rejected_frames, 0u) << plan.repro_line();
+  expect_wire_accounting(srt.wire_stats(), 1, topo);
 }
 
 // ---------------------------------------------------------------------------
