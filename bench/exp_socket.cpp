@@ -13,7 +13,7 @@
 //   * all-recovered — every session of every cell completed, INCLUDING the
 //     cells running under >= 10% injected datagram loss (a lossy channel
 //     realized by a network that actually drops; each node drains its
-//     socket into per-edge inboxes of capacity c, and the cells report the
+//     socket into per-edge inboxes of capacity 1, and the cells report the
 //     frames those inboxes lost as inbox overflow);
 //   * hostile traffic died in frame validation — a garbage stanza fires
 //     noise and corrupted frames at a live cell and requires every one
@@ -46,15 +46,11 @@ double ms_between(Clock::time_point a, Clock::time_point b) {
   return std::chrono::duration<double, std::milli>(b - a).count();
 }
 
-// The channel capacity c the hosts are configured for and the sockets'
-// inboxes enforce.
-constexpr int kCapacity = 1;
-
 svc::HostConfig cell_config(int p, int n) {
   svc::HostConfig cfg;
   cfg.id = 100 - p;
   cfg.degree = n - 1;
-  cfg.channel_capacity = kCapacity;
+  cfg.channel_capacity = 1;
   cfg.with_election = true;
   return cfg;
 }
@@ -80,9 +76,7 @@ Cell run_cell(int n, double loss, int rounds, std::uint64_t seed) {
   cell.rounds = rounds;
   cell.seed = seed;
 
-  net::SocketRuntime srt(n, {.seed = seed,
-                             .loss_rate = loss,
-                             .channel_capacity = kCapacity});
+  net::SocketRuntime srt(n, {.seed = seed, .loss_rate = loss});
   for (int p = 0; p < n; ++p)
     srt.add_process(std::make_unique<svc::ServiceHost>(cell_config(p, n)));
   svc::Client client(srt);
@@ -125,7 +119,7 @@ struct GarbageStats {
 
 GarbageStats run_garbage(int n, int bursts, std::uint64_t seed) {
   GarbageStats g;
-  net::SocketRuntime srt(n, {.seed = seed, .channel_capacity = kCapacity});
+  net::SocketRuntime srt(n, {.seed = seed});
   for (int p = 0; p < n; ++p)
     srt.add_process(std::make_unique<svc::ServiceHost>(cell_config(p, n)));
   srt.start();

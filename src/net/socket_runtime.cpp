@@ -44,19 +44,23 @@ int bind_udp(std::uint16_t port, std::uint16_t* bound) {
 // inbox per in-edge; attempt k pops the inbox of in-edge k.
 class UdpTransport final : public runtime::Transport {
  public:
+  // The most datagrams one drain reads: a default loopback receive buffer
+  // (212992 bytes) holds 256 small datagrams, so a drain empties what was
+  // queued when it began, while a sender that refills the socket faster
+  // than the node decodes cannot keep the node (and its mutex) in the drain.
+  // The rest waits in the kernel buffer for the next activation.
+  static constexpr int kDrainBatch = 256;
+
   UdpTransport(const runtime::HostRuntime& rt,
-               const std::vector<std::uint16_t>& ports,
-               std::size_t channel_capacity)
+               const std::vector<std::uint16_t>& ports)
       : topology_(rt.topology()), pool_(rt.string_pool()) {
     const auto n = static_cast<std::size_t>(topology_.process_count());
     SNAPSTAB_CHECK_MSG(ports.empty() || ports.size() == n,
                        "ports must name one UDP port per node");
-    SNAPSTAB_CHECK_MSG(channel_capacity >= 1,
-                       "the channel capacity c must be at least 1");
     port_table_ = ports;
     port_table_.resize(n, 0);
     fds_.assign(n, -1);
-    inboxes_ = std::make_unique<Inbox[]>(n);
+    inboxes_.resize(n);
     for (int p = 0; p < topology_.process_count(); ++p) {
       if (!rt.hosts(p)) {
         SNAPSTAB_CHECK_MSG(
@@ -68,7 +72,7 @@ class UdpTransport final : public runtime::Transport {
       fds_[i] = bind_udp(port_table_[i], &port_table_[i]);
       inboxes_[i].buf.resize(kMaxDatagramSize);
       for (int k = 0; k < topology_.degree(p); ++k)
-        inboxes_[i].edges.emplace_back(channel_capacity);
+        inboxes_[i].edges.emplace_back(SocketRuntime::kInboxCapacity);
     }
     inject_fd_ = ::socket(AF_INET, SOCK_DGRAM, 0);
     SNAPSTAB_CHECK_MSG(inject_fd_ >= 0, "cannot open the injection socket");
@@ -140,33 +144,26 @@ class UdpTransport final : public runtime::Transport {
     std::atomic<std::uint64_t> datagrams_received{0};
     std::array<std::atomic<std::uint64_t>, kWireFrameResultCount> by_result{};
     std::atomic<std::uint64_t> bad_edge{0};
+    std::atomic<std::uint64_t> inbox_overflow{0};
   };
   const Stats& stats() const noexcept { return stats_; }
 
-  std::uint64_t inbox_overflow() const {
-    std::uint64_t sum = 0;
-    for (int p = 0; p < topology_.process_count(); ++p)
-      sum += inboxes_[static_cast<std::size_t>(p)].overflow.load(
-          std::memory_order_relaxed);
-    return sum;
-  }
-
  private:
   // A hosted node's receive side. Only the node's own thread touches it,
-  // under its node mutex; `overflow` is also read by wire_stats().
+  // under its node mutex.
   struct Inbox {
     std::vector<std::uint8_t> buf;   // one datagram
     std::vector<sim::Channel> edges;  // in-edge k's bounded FIFO inbox
-    std::atomic<std::uint64_t> overflow{0};  // frames lost to a full inbox
   };
 
-  // Reads every datagram pending on node p's socket. Each valid frame is
-  // pushed into the inbox of its in-edge; a push into a full inbox loses
-  // the frame, the model's send-into-a-full-channel rule.
+  // Reads the datagrams pending on node p's socket, at most kDrainBatch of
+  // them. Each valid frame is pushed into the inbox of its in-edge; a push
+  // into a full inbox loses the frame, the model's send-into-a-full-channel
+  // rule.
   void drain(int p, Inbox& box) {
     constexpr auto relaxed = std::memory_order_relaxed;
     const int fd = fds_[static_cast<std::size_t>(p)];
-    for (;;) {
+    for (int read = 0; read < kDrainBatch; ++read) {
       const ssize_t r =
           ::recv(fd, box.buf.data(), box.buf.size(), MSG_DONTWAIT);
       if (r < 0) return;  // EAGAIN (or a transient error)
@@ -183,7 +180,8 @@ class UdpTransport final : public runtime::Transport {
       }
       sim::Channel& channel = box.edges[static_cast<std::size_t>(
           topology_.edge_index_at_dst(frame.edge))];
-      if (!channel.push(frame.message)) box.overflow.fetch_add(1, relaxed);
+      if (!channel.push(frame.message))
+        stats_.inbox_overflow.fetch_add(1, relaxed);
     }
   }
 
@@ -191,7 +189,7 @@ class UdpTransport final : public runtime::Transport {
   StringPool& pool_;
   std::vector<std::uint16_t> port_table_;  // node id -> UDP port
   std::vector<int> fds_;                   // node id -> socket | -1
-  std::unique_ptr<Inbox[]> inboxes_;       // node id -> receive side
+  std::vector<Inbox> inboxes_;             // node id -> receive side
   int inject_fd_ = -1;
   std::mutex inject_mu_;
   Stats stats_;
@@ -201,8 +199,7 @@ SocketRuntime::SocketRuntime(sim::Topology topology,
                              SocketRuntimeOptions options)
     : HostRuntime(std::move(topology), options.seed, options.loss_rate,
                   std::move(options.local_nodes)) {
-  auto transport = std::make_unique<UdpTransport>(*this, options.ports,
-                                                  options.channel_capacity);
+  auto transport = std::make_unique<UdpTransport>(*this, options.ports);
   udp_ = transport.get();
   attach(std::move(transport));
 }
@@ -237,7 +234,7 @@ SocketRuntime::WireStats SocketRuntime::wire_stats() const {
     if (i != static_cast<int>(WireFrameResult::Ok)) out.rejected_frames += c;
   }
   out.bad_edge = s.bad_edge.load(relaxed);
-  out.inbox_overflow = udp_->inbox_overflow();
+  out.inbox_overflow = s.inbox_overflow.load(relaxed);
   const FilterStats f = filter_stats();
   out.delivered = f.delivered;
   out.loss_drops = f.loss_drops;

@@ -8,9 +8,9 @@
 //
 // Channel model: the kernel socket buffer is unbounded, the channel in
 // which Theorem 1 proves snap-stabilization impossible. Each activation
-// therefore drains it into one inbox of capacity c per in-edge
-// (options.channel_capacity, the c the hosts' protocols are configured
-// for), and a frame arriving at a full inbox is lost and counted
+// therefore drains it into one inbox per in-edge holding a single message
+// (c = 1, within the bound c >= 1 any hosted protocol is configured for),
+// and a frame arriving at a full inbox is lost and counted
 // (WireStats::inbox_overflow). What a node receives is thus bounded by c at
 // each drain, but UDP does not promise FIFO and the frame carries no
 // sequence number, so this transport still does NOT enforce the paper's
@@ -28,14 +28,15 @@
 //     rejoin, which is what the fault engine's process-kill path tests.
 //
 // Receive path. Attempt 0 of a node's activation drains its socket until
-// EAGAIN: recv -> decode_frame (corrupt/truncated datagrams counted and
-// dropped, never delivered) -> edge validation (must terminate here) ->
-// push into the in-edge's bounded FIFO inbox (lost and counted when full).
+// EAGAIN or a fixed batch of datagrams: recv -> decode_frame
+// (corrupt/truncated datagrams counted and dropped, never delivered) ->
+// edge validation (must terminate here) -> push into the in-edge's bounded
+// FIFO inbox (lost and counted when full).
 // Attempt k then pops at most one message from the inbox of in-edge k, the
 // same one-message-per-channel rule as the mailbox transport -> the
 // HostRuntime's fault filter -> Process::on_message. Datagrams a busy
-// process leaves unread queue in the kernel socket buffer until its next
-// drain.
+// process leaves unread, or that arrive past the batch (a flooding sender),
+// queue in the kernel socket buffer until its next drain.
 #ifndef SNAPSTAB_NET_SOCKET_RUNTIME_HPP
 #define SNAPSTAB_NET_SOCKET_RUNTIME_HPP
 
@@ -55,10 +56,6 @@ struct SocketRuntimeOptions {
   // genuinely drops): each accepted frame is discarded with this
   // probability before dispatch. The bench ladder's loss knob.
   double loss_rate = 0.0;
-  // The capacity c of each in-edge's inbox, c >= 1. Pass the c the hosted
-  // protocols are configured for (svc::HostConfig::channel_capacity); every
-  // process of a multi-process world passes the same c.
-  std::size_t channel_capacity = 1;
   // One UDP port per node (multi-process mode). Empty: every node binds
   // an ephemeral loopback port, which requires hosting all nodes here.
   std::vector<std::uint16_t> ports;
@@ -70,6 +67,11 @@ class UdpTransport;
 
 class SocketRuntime final : public runtime::HostRuntime {
  public:
+  // Messages each in-edge's inbox holds. c is an upper bound in the model,
+  // so a capacity-1 inbox is a valid lossy bounded channel for hosts
+  // configured with any c >= 1.
+  static constexpr std::size_t kInboxCapacity = 1;
+
   SocketRuntime(sim::Topology topology, SocketRuntimeOptions options = {});
   // The paper's fully-connected network.
   SocketRuntime(int process_count, SocketRuntimeOptions options = {});

@@ -27,8 +27,8 @@
 //
 // Channel model. The Mailbox transport is bounded and FIFO (a push into a
 // full mailbox is lost), the model the paper's proofs assume. The UDP
-// transport drains its socket into bounded per-edge inboxes, so what a node
-// receives is cut to the capacity c at each drain, but UDP does not promise
+// transport drains its socket into per-edge inboxes of one message, so what
+// a node receives is bounded by c at each drain, but UDP does not promise
 // FIFO; see the README's "Real-wire runtime" section.
 //
 // Concurrency discipline: a process's state is touched only under its node
