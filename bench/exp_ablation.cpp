@@ -1,4 +1,4 @@
-// exp_ablation — ablations of the two design choices DESIGN.md calls out.
+// exp_ablation — ablations of two design choices: flag range and tick order.
 //
 // A) Flag range. Lemma 4's counting argument dictates flag range {0..2c+2}
 //    (five values for capacity 1). What if the protocol used fewer? This
@@ -9,8 +9,9 @@
 // B) Stack tick order. The reproduction found that composing the protocols
 //    lower-layer-first opens a one-activation window in which a ghost
 //    receive-fck against still-corrupted PIF flags poisons IDL's monotone
-//    minID (DESIGN.md §6.3). This ablation measures the poisoning rate of
-//    the unsafe order against the safe (upper-layer-first) order.
+//    minID (see ServiceHost::on_tick in src/svc/host.cpp). This ablation
+//    measures the poisoning rate of the unsafe order against the safe
+//    (upper-layer-first) order.
 #include "exp_common.hpp"
 
 namespace snapstab::bench {
@@ -144,7 +145,7 @@ int main(int argc, char** argv) {
   const int trials = static_cast<int>(args.get_int("trials", 120));
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1300));
 
-  banner("exp_ablation", "design-choice ablations (DESIGN.md §6)",
+  banner("exp_ablation", "design-choice ablations (Lemma 4, tick order)",
          "A) flag range {0..F}: F < 2c+2 is unsound, the paper's constant\n"
          "is tight. B) stack tick order: lower-layer-first reopens the\n"
          "ghost-feedback window and poisons IDL's minID.");

@@ -150,6 +150,6 @@ int main(int argc, char** argv) {
   json.set("total_violations", total_violations);
   json.set("under_fooled", under_fooled);
   json.set("exact_safe", exact_safe);
-  json.write_if_requested(args);
-  return 0;
+  if (!json.write_if_requested(args)) return 1;
+  return total_violations == 0 && under_fooled && exact_safe ? 0 : 1;
 }

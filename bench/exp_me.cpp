@@ -180,7 +180,7 @@ int main(int argc, char** argv) {
   }
   metrics.print();
 
-  std::printf("\n--- Part 3: the A7 increment regression (DESIGN.md §6.1) ---\n");
+  std::printf("\n--- Part 3: the A7 increment regression (core/me.hpp) ---\n");
   TextTable regression({"increment rule", "Value_L = n planted", "requests"});
   const bool deadlocked = paper_faithful_deadlock(3);
   regression.add_row({"paper: (Value+1) mod (n+1)", "yes",

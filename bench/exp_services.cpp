@@ -257,6 +257,8 @@ int main(int argc, char** argv) {
   json.set("election_failures", election_failures);
   json.set("false_claims", false_claims);
   json.set("no_claims", no_claims);
-  json.write_if_requested(args);
-  return 0;
+  if (!json.write_if_requested(args)) return 1;
+  const bool ok = reset_failures == 0 && election_failures == 0 &&
+                  false_claims == 0 && no_claims == 0;
+  return ok ? 0 : 1;
 }

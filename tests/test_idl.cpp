@@ -154,9 +154,10 @@ TEST(Idl, RepeatedComputationsRefreshResults) {
 }
 
 TEST(Idl, GhostFeedbackInTheStartWindowCannotPoisonMinId) {
-  // Regression for a subtle composition hazard (DESIGN.md §6.3): IDL's A1
-  // sets PIF.Request := Wait; if PIF's A1 (the flag reset) ran only on a
-  // *later* activation, a delivery in between could match the FUZZED flags,
+  // Regression for a subtle composition hazard (the tick order of
+  // ServiceHost::on_tick, src/svc/host.cpp): IDL's A1 sets
+  // PIF.Request := Wait; if PIF's A1 (the flag reset) ran only on a *later*
+  // activation, a delivery in between could match the FUZZED flags,
   // fire a ghost receive-fck, and A4 would fold its garbage value into the
   // monotone minID. The stack must start the sub-protocol within the same
   // atomic activation, so the adversarial message below must find the flags

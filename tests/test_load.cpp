@@ -6,12 +6,15 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "core/stack.hpp"
 #include "load/histogram.hpp"
 #include "load/workload.hpp"
+#include "net/wire.hpp"
 #include "sim/scheduler.hpp"
 #include "sim/simulator.hpp"
 #include "svc/client.hpp"
@@ -226,6 +229,53 @@ TEST(LoadSharding, CriticalSectionMixCompletesDeterministically) {
   const std::string one = run_sharded(spec, 2, 1).deterministic_json(spec);
   const std::string two = run_sharded(spec, 2, 2).deterministic_json(spec);
   EXPECT_EQ(one, two);
+}
+
+// A load shard keeps no observation history: nothing in a shard reads
+// its Simulator's log, so how long the shard retains it must not move any
+// completion, step count or recovery metric. These digests were recorded
+// while each shard still kept up to 2^20 observations; they pin
+// the deterministic core of a closed-loop mix, with and without faults.
+WorkloadSpec ring_mix_spec() {
+  WorkloadSpec spec;
+  spec.topology = "ring";
+  spec.n = 16;
+  spec.seed = 2024;
+  spec.set_weight(svc::ServiceId::PifBroadcast, 4);
+  spec.set_weight(svc::ServiceId::Idl, 1);
+  spec.set_weight(svc::ServiceId::Snapshot, 1);
+  spec.set_weight(svc::ServiceId::Election, 1);
+  spec.concurrency = 24;
+  spec.warmup = 12;
+  spec.measure = 600;
+  return spec;
+}
+
+std::uint64_t json_digest(const LoadReport& r, const WorkloadSpec& spec) {
+  const std::string j = r.deterministic_json(spec);
+  return net::fnv1a(j.data(), j.size());
+}
+
+TEST(LoadSharding, DigestPinnedAcrossLogRetention) {
+  const WorkloadSpec plain = ring_mix_spec();
+  EXPECT_EQ(json_digest(run_sharded(plain, 3, 3), plain),
+            0x8c07c628e1f6d9e1ull);
+
+  WorkloadSpec faulted = ring_mix_spec();
+  fault::FaultPlanSpec& fs = faulted.faults;
+  fs.seed = 91;
+  fs.horizon = 1'500;
+  fs.crash_windows = 1;
+  fs.garbage_windows = 1;
+  fs.loss_windows = 1;
+  fs.partition_windows = 1;
+  fs.min_len = 100;
+  fs.max_len = 400;
+  const LoadReport r = run_sharded(faulted, 3, 3);
+  EXPECT_EQ(json_digest(r, faulted), 0x2709c47d61f25cccull);
+  // The faulted run recovered, so its recovery metrics are in the pin.
+  EXPECT_TRUE(r.total.recovered);
+  EXPECT_GT(r.total.completed_after_fault, 0u);
 }
 
 // Shard results fold through the same merge whatever grouping the caller

@@ -1,5 +1,6 @@
 // test_me.cpp — Protocol ME (Algorithm 3): Specification 3 / Theorem 4,
-// one test per lemma, plus the mod-(n+1) regression of DESIGN.md §6.
+// one test per lemma, plus the mod-(n+1) regression (the first deviation
+// listed in src/core/me.hpp).
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -204,8 +205,9 @@ TEST(Me, WinnerPredicateMatchesPaperDefinition) {
 }
 
 TEST(Me, PaperFaithfulIncrementDeadlocks) {
-  // DESIGN.md §6.1: with A7's literal `(Value+1) mod (n+1)`, Value_L = n
-  // favours nobody and the token never advances again — requests starve.
+  // The first deviation of src/core/me.hpp: with A7's literal
+  // `(Value+1) mod (n+1)`, Value_L = n favours nobody and the token never
+  // advances again — requests starve.
   StackOptions faithful;
   faithful.me.paper_faithful_increment = true;
   auto sim = me_world({10, 20, 30}, 19, faithful);

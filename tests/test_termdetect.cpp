@@ -199,7 +199,7 @@ TEST(TermDetect, SurvivesFuzzedProtocolState) {
     Rng rng(seed * 7);
     sim::fuzz(*w.sim, rng);  // protocol state + channels (apps untouched)
     // The corruption model covers the *protocol*; the application layer is
-    // assumed authentic (DESIGN.md / termdetect.hpp). Strip the ghost App
+    // assumed authentic (src/core/termdetect.hpp). Strip the ghost App
     // messages the fuzzer injected, keep every protocol-level corruption.
     for (int s = 0; s < 3; ++s)
       for (int d = 0; d < 3; ++d) {
