@@ -118,13 +118,14 @@ OrderCell order_ablation(bool unsafe_order, int n, int trials,
     Rng rng(seed ^ 0xAB1A);
     sim::fuzz(world, rng);
     world.set_scheduler(std::make_unique<sim::RandomScheduler>(seed + 1));
-    for (int p = 0; p < n; ++p) core::request_idl(world, p);
-    const auto reason = world.run(3'000'000, [n](Simulator& s) {
-      for (int p = 0; p < n; ++p)
-        if (!s.process_as<IdlProcess>(p).idl().done()) return false;
-      return true;
-    });
-    if (reason != Simulator::StopReason::Predicate) continue;
+    // Each session waits behind its host's fuzzed ghost computation.
+    svc::Client client(world);
+    std::vector<svc::Session> sessions;
+    for (int p = 0; p < n; ++p)
+      sessions.push_back(client.submit(p, svc::Idl{}));
+    if (client.await_all(sessions, {.max_steps = 3'000'000}) !=
+        svc::AwaitResult::Done)
+      continue;
     ++cell.runs;
     for (int p = 0; p < n; ++p)
       if (world.process_as<IdlProcess>(p).idl().min_id() != true_min) {
@@ -192,6 +193,5 @@ int main(int argc, char** argv) {
   json.set("paper_sound", paper_sound);
   json.set("safe_order_poisoned", safe.poisoned);
   json.set("unsafe_order_poisoned", unsafe.poisoned);
-  json.write_if_requested(args);
-  return 0;
+  return exit_code(json.write_if_requested(args));
 }

@@ -6,7 +6,7 @@
 // computation (the handshake deepens linearly in c). Also reproduces the
 // *mismatch* failure: a protocol believing c' < c channels can be fooled.
 #include "exp_common.hpp"
-#include "trial_runner.hpp"
+#include "load/shard.hpp"
 
 namespace snapstab::bench {
 namespace {
@@ -30,7 +30,7 @@ Cell run_cell(int c, int n, int trials, std::uint64_t seed0, int threads) {
     double rounds = 0;
     double sends = 0;
   };
-  const auto outcomes = run_trials(trials, threads, [&](int t) {
+  const auto outcomes = load::parallel_shards(trials, threads, [&](int t) {
     Trial out;
     const std::uint64_t seed = seed0 + static_cast<std::uint64_t>(t);
     auto world = pif_world(n, c, seed);
@@ -39,11 +39,7 @@ Cell run_cell(int c, int n, int trials, std::uint64_t seed0, int threads) {
     fuzz_opts.flag_limit = 2 * c + 2;
     sim::fuzz(*world, rng, fuzz_opts);
     world->set_scheduler(std::make_unique<sim::RoundRobinScheduler>(seed));
-    core::request_pif(*world, 0, Value::integer(t));
-    const auto reason = world->run(5'000'000, [](Simulator& s) {
-      return s.process_as<PifProcess>(0).pif().done();
-    });
-    if (reason != Simulator::StopReason::Predicate) {
+    if (!broadcast(*world, 0, Value::integer(t), 5'000'000)) {
       out.violation = true;
       return out;
     }
@@ -78,7 +74,7 @@ bool mismatch_attack(int believed, int real) {
   for (std::int32_t flag = 0; flag < flag_bound && flag < real; ++flag)
     world.network().channel(1, 0).push(
         Message::pif(Value::text("stale"), Value::text("stale"), 0, flag));
-  core::request_pif(world, 0, Value::text("real"));
+  svc::Client(world).submit(0, svc::PifBroadcast{Value::text("real")});
   world.execute(sim::Step::tick(0));
   for (int i = 0; i < real; ++i) world.execute(sim::Step::deliver(1, 0));
   world.execute(sim::Step::tick(0));
@@ -150,6 +146,5 @@ int main(int argc, char** argv) {
   json.set("total_violations", total_violations);
   json.set("under_fooled", under_fooled);
   json.set("exact_safe", exact_safe);
-  if (!json.write_if_requested(args)) return 1;
-  return total_violations == 0 && under_fooled && exact_safe ? 0 : 1;
+  return exit_code(json.write_if_requested(args));
 }

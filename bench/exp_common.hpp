@@ -2,15 +2,17 @@
 //
 // Every experiment prints: a header naming the experiment and its paper
 // anchor, one or more TextTables with the measured rows, and a PASS/FAIL
-// verdict where the experiment validates a property. Binaries run with no
-// arguments using defaults sized to finish in seconds; sweep parameters are
-// adjustable via --flags (see each binary's `kKnownFlags`).
+// verdict where the experiment validates a property. Every main returns
+// exit_code(), so any printed [FAIL] makes the binary exit 1. Binaries run
+// with no arguments using defaults sized to finish in seconds; sweep
+// parameters are adjustable via --flags (see each binary's `kKnownFlags`).
 #ifndef SNAPSTAB_BENCH_EXP_COMMON_HPP
 #define SNAPSTAB_BENCH_EXP_COMMON_HPP
 
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -21,6 +23,7 @@
 #include "core/stack.hpp"
 #include "sim/fuzz.hpp"
 #include "sim/simulator.hpp"
+#include "svc/client.hpp"
 
 namespace snapstab::bench {
 
@@ -154,8 +157,31 @@ inline void banner(const char* experiment, const char* anchor,
   std::printf("\n=== %s — %s ===\n%s\n\n", experiment, anchor, what);
 }
 
+// Set by the first failing verdict(); read by exit_code().
+inline bool any_verdict_failed = false;
+
 inline void verdict(bool ok, const char* what) {
   std::printf("[%s] %s\n", ok ? "PASS" : "FAIL", what);
+  if (!ok) any_verdict_failed = true;
+}
+
+// The exit status of every exp_* main: 1 when any printed verdict failed or
+// the --json file could not be written (pass write_if_requested's result).
+inline int exit_code(bool json_written) {
+  return any_verdict_failed || !json_written ? 1 : 0;
+}
+
+// Worker count for `trials` independent trials fanned out with
+// load::parallel_shards: the --threads flag when given (0 = auto),
+// otherwise all hardware threads, never more than one per trial.
+inline int trial_thread_count(const CliArgs& args, int trials) {
+  int threads = static_cast<int>(args.get_int("threads", 0));
+  if (threads <= 0) {
+    const unsigned hw = std::thread::hardware_concurrency();
+    threads = hw != 0 ? static_cast<int>(hw) : 1;
+  }
+  if (threads > trials) threads = trials;
+  return threads > 0 ? threads : 1;
 }
 
 // Builds a PIF-only world of n processes over capacity-c channels.
@@ -166,6 +192,16 @@ inline std::unique_ptr<sim::Simulator> pif_world(int n, int capacity,
   for (int i = 0; i < n; ++i)
     world->add_process(std::make_unique<core::PifProcess>(n - 1, capacity));
   return world;
+}
+
+// Submits a broadcast of `b` at process `p` and runs `world` until that
+// computation decides; false when `max_steps` ran out first. From a fuzzed
+// configuration the session waits for p's ghost computation to drain.
+inline bool broadcast(sim::Simulator& world, sim::ProcessId p, const Value& b,
+                      std::uint64_t max_steps) {
+  svc::Client client(world);
+  return client.await_all({client.submit(p, svc::PifBroadcast{b})},
+                          {.max_steps = max_steps}) == svc::AwaitResult::Done;
 }
 
 // Builds an ME world with ids 1..n (process 0 is the leader).

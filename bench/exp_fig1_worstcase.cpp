@@ -30,7 +30,7 @@ void part1_walkthrough() {
   net.channel(0, 1).push(
       Message::pif(Value::text("stale"), Value::text("stale"), 2, 1));
   q.mutable_state().neig_state[0] = 1;
-  core::request_pif(*world, 0, Value::text("m"));
+  svc::Client(*world).submit(0, svc::PifBroadcast{Value::text("m")});
   q.request(Value::text("mq"));
 
   TextTable timeline({"step", "event", "State_p[q]", "note"});
@@ -97,7 +97,12 @@ SweepResult part2_sweep() {
           auto& q = world->process_as<PifProcess>(1).pif();
           q.mutable_state().neig_state[0] = qneig;
           if (qstarts != 0) q.request(Value::text("mq"));
-          core::request_pif(*world, 0, Value::text("m"));
+          svc::Client(*world).submit(0, svc::PifBroadcast{Value::text("m")});
+          // The scheduler below is stepped by hand, not through run(), so
+          // refresh the enabled-step index after the state pokes above:
+          // without it p's start tick never enters the index and the
+          // scheduler can find no step at all.
+          world->reconcile_enabled_index();
           sim::RoundRobinScheduler scheduler(
               static_cast<std::uint64_t>(m1 * 1000 + m2 * 10 + qneig));
 
@@ -177,6 +182,5 @@ int main(int argc, char** argv) {
   json.set("completed", sweep.completed);
   json.set("spec_violations", sweep.spec_violations);
   json.set("max_stale_increments", sweep.max_stale_increments);
-  json.write_if_requested(args);
-  return 0;
+  return snapstab::bench::exit_code(json.write_if_requested(args));
 }

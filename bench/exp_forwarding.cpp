@@ -11,9 +11,9 @@
 // delivered exactly once, ghosts within the corruption budget. Cost
 // metrics: steps and hop transfers per delivered payload.
 #include "exp_common.hpp"
-#include "trial_runner.hpp"
 
 #include "core/forward_world.hpp"
+#include "load/shard.hpp"
 
 namespace snapstab::bench {
 namespace {
@@ -62,15 +62,16 @@ Trial run_trial(const std::string& family, int n, double loss, int payloads,
   const std::uint64_t budget = core::forward_ghost_budget(*world);
 
   Rng pick(seed * 17 + 3);
+  svc::Client client(*world);
   int accepted = 0;
   while (accepted < payloads) {
     const auto origin =
         static_cast<int>(pick.below(static_cast<std::uint64_t>(n)));
     const auto dst =
         static_cast<int>(pick.below(static_cast<std::uint64_t>(n)));
-    if (core::request_forward(*world, origin, dst,
-                              Value::integer(kBase + accepted)))
-      ++accepted;
+    const svc::ForwardMsg msg{.dst = dst,
+                              .payload = Value::integer(kBase + accepted)};
+    if (client.submit(origin, msg).accepted()) ++accepted;
   }
 
   world->set_scheduler(std::make_unique<sim::RandomScheduler>(
@@ -113,7 +114,7 @@ Trial run_trial(const std::string& family, int n, double loss, int payloads,
 
 Cell run_cell(const std::string& family, int n, double loss, int payloads,
               int trials, std::uint64_t seed0, int threads) {
-  const auto outcomes = run_trials(trials, threads, [&](int t) {
+  const auto outcomes = load::parallel_shards(trials, threads, [&](int t) {
     return run_trial(family, n, loss, payloads,
                      seed0 + static_cast<std::uint64_t>(t));
   });
@@ -195,6 +196,5 @@ int main(int argc, char** argv) {
   json.set("total_runs", total_runs);
   json.set("total_violations", total_violations);
   json.set("total_incomplete", total_incomplete);
-  json.write_if_requested(args);
-  return total_violations == 0 ? 0 : 1;
+  return exit_code(json.write_if_requested(args));
 }

@@ -12,7 +12,6 @@ namespace snapstab::bench {
 namespace {
 
 using baselines::NaivePifProcess;
-using core::PifProcess;
 using sim::Simulator;
 
 struct SnapCell {
@@ -35,10 +34,7 @@ SnapCell run_snap(int n, double loss, int trials, std::uint64_t seed0) {
     auto world = pif_world(n, 1, seed);
     world->set_scheduler(std::make_unique<sim::RoundRobinScheduler>(
         seed, sim::LossOptions{.rate = loss, .max_consecutive = 8}));
-    core::request_pif(*world, 0, Value::integer(t));
-    const auto reason = world->run(5'000'000, [](Simulator& s) {
-      return s.process_as<PifProcess>(0).pif().done();
-    });
+    const bool decided = broadcast(*world, 0, Value::integer(t), 5'000'000);
     ++cell.runs;
     const auto chan = world->network().aggregate_channel_stats();
     cell.delivered += chan.popped;
@@ -46,7 +42,7 @@ SnapCell run_snap(int n, double loss, int trials, std::uint64_t seed0) {
     if (chan.dropped != world->metrics().adversary_losses ||
         chan.popped != world->metrics().deliveries)
       cell.exact = false;
-    if (reason == Simulator::StopReason::Predicate) {
+    if (decided) {
       ++cell.completed;
       cell.rounds.add(static_cast<double>(rounds_of(*world)));
     }
@@ -138,6 +134,5 @@ int main(int argc, char** argv) {
   json.set("total_delivered", total_delivered);
   json.set("total_dropped", total_dropped);
   json.set("accounting_exact", accounting_exact);
-  json.write_if_requested(args);
-  return 0;
+  return exit_code(json.write_if_requested(args));
 }

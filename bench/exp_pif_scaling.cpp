@@ -7,13 +7,10 @@
 // (the initiator handshakes with n-1 neighbors), and corruption adds only a
 // constant number of extra exchanges (the stale fuel of Figure 1).
 #include "exp_common.hpp"
-#include "trial_runner.hpp"
+#include "load/shard.hpp"
 
 namespace snapstab::bench {
 namespace {
-
-using core::PifProcess;
-using sim::Simulator;
 
 struct Cell {
   Summary rounds;
@@ -30,7 +27,7 @@ Cell run_cell(int n, bool corrupted, int trials, std::uint64_t seed0,
     double sends = 0;
     double deliveries = 0;
   };
-  const auto outcomes = run_trials(trials, threads, [&](int t) {
+  const auto outcomes = load::parallel_shards(trials, threads, [&](int t) {
     Trial out;
     const std::uint64_t seed = seed0 + static_cast<std::uint64_t>(t);
     auto world = pif_world(n, 1, seed);
@@ -39,11 +36,7 @@ Cell run_cell(int n, bool corrupted, int trials, std::uint64_t seed0,
       sim::fuzz(*world, rng);
     }
     world->set_scheduler(std::make_unique<sim::RoundRobinScheduler>(seed));
-    core::request_pif(*world, 0, Value::integer(t));
-    const auto reason = world->run(5'000'000, [](Simulator& s) {
-      return s.process_as<PifProcess>(0).pif().done();
-    });
-    if (reason != Simulator::StopReason::Predicate) return out;
+    if (!broadcast(*world, 0, Value::integer(t), 5'000'000)) return out;
     out.completed = true;
     out.rounds = static_cast<double>(rounds_of(*world));
     out.sends = static_cast<double>(world->metrics().sends);
@@ -111,6 +104,5 @@ int main(int argc, char** argv) {
   json.set("max_n", max_n);
   json.set("rounds_mean_n2_clean", rounds_n2);
   json.set("constant_rounds", constant_rounds);
-  json.write_if_requested(args);
-  return 0;
+  return exit_code(json.write_if_requested(args));
 }

@@ -9,9 +9,6 @@
 namespace snapstab::bench {
 namespace {
 
-using core::PifProcess;
-using sim::Simulator;
-
 struct Cell {
   int runs = 0;
   int violations = 0;
@@ -42,12 +39,10 @@ Cell run_cell(int n, bool corrupted, double loss, int trials,
     }
     world->set_scheduler(std::make_unique<sim::RandomScheduler>(
         seed + 1, sim::LossOptions{.rate = loss, .max_consecutive = 6}));
-    core::request_pif(*world, 0, Value::integer(static_cast<int>(seed)));
-    const auto reason = world->run(2'000'000, [](Simulator& s) {
-      return s.process_as<PifProcess>(0).pif().done();
-    });
+    const bool decided = broadcast(
+        *world, 0, Value::integer(static_cast<int>(seed)), 2'000'000);
     ++cell.runs;
-    if (reason != Simulator::StopReason::Predicate) {
+    if (!decided) {
       ++cell.violations;  // termination violation
       continue;
     }
@@ -116,6 +111,5 @@ int main(int argc, char** argv) {
   json.set("trials", trials);
   json.set("total_violations", total_violations);
   json.set("property1_failures", total_p1);
-  json.write_if_requested(args);
-  return 0;
+  return exit_code(json.write_if_requested(args));
 }

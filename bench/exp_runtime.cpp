@@ -129,6 +129,5 @@ int main(int argc, char** argv) {
   json.set("pif_all_ok", all_ok);
   json.set("me_all_served", served);
   json.set("me_exclusion", exclusion);
-  if (!json.write_if_requested(args)) return 1;
-  return (all_ok && served && exclusion) ? 0 : 1;
+  return exit_code(json.write_if_requested(args));
 }

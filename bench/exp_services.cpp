@@ -257,8 +257,5 @@ int main(int argc, char** argv) {
   json.set("election_failures", election_failures);
   json.set("false_claims", false_claims);
   json.set("no_claims", no_claims);
-  if (!json.write_if_requested(args)) return 1;
-  const bool ok = reset_failures == 0 && election_failures == 0 &&
-                  false_claims == 0 && no_claims == 0;
-  return ok ? 0 : 1;
+  return exit_code(json.write_if_requested(args));
 }

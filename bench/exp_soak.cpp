@@ -271,6 +271,5 @@ int main(int argc, char** argv) {
   json.set("down_wipes", c.down_wipes);
   json.set("recovered", finished);
   json.set("storm_bit", storm_bit);
-  if (!json.write_if_requested(args)) return 1;
-  return (finished && storm_bit) ? 0 : 1;
+  return exit_code(json.write_if_requested(args));
 }

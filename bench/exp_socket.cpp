@@ -264,9 +264,5 @@ int main(int argc, char** argv) {
   json.set("all_recovered", all_recovered);
   json.set("lossy_filter_fired", lossy_filter_fired);
   json.set("garbage_ok", garbage_ok);
-  if (!json.write_if_requested(args)) return 1;
-  return (all_recovered && lossy_cell_seen && lossy_filter_fired &&
-          garbage_ok)
-             ? 0
-             : 1;
+  return exit_code(json.write_if_requested(args));
 }

@@ -16,7 +16,7 @@
 #include <chrono>
 
 #include "exp_common.hpp"
-#include "trial_runner.hpp"
+#include "load/shard.hpp"
 
 namespace snapstab::bench {
 namespace {
@@ -152,7 +152,7 @@ int main(int argc, char** argv) {
     double deliveries = 0;
     bool done = false;
   };
-  const auto rows = run_trials(
+  const auto rows = load::parallel_shards(
       kShapes, trial_thread_count(args, kShapes), [&](int which) {
         sim::Topology topo = make_shape(which);
         ReachRow row;
@@ -163,12 +163,8 @@ int main(int argc, char** argv) {
         for (int p = 0; p < row.procs; ++p)
           world.add_process(std::make_unique<PifProcess>(
               world.topology().degree(p), 1));
-        core::request_pif(world, 0, Value::integer(7));
         world.set_scheduler(std::make_unique<sim::RandomScheduler>(seed));
-        const auto reason = world.run(50'000'000, [](Simulator& s) {
-          return s.process_as<PifProcess>(0).pif().done();
-        });
-        row.done = reason == Simulator::StopReason::Predicate;
+        row.done = broadcast(world, 0, Value::integer(7), 50'000'000);
         row.steps = static_cast<double>(world.step_count());
         row.deliveries = static_cast<double>(world.metrics().deliveries);
         return row;
@@ -195,6 +191,5 @@ int main(int argc, char** argv) {
   json.set("legacy_steps_per_sec", legacy_rate);
   json.set("speedup", incremental_rate / legacy_rate);
   json.set("all_done", all_done);
-  json.write_if_requested(args);
-  return incremental_rate > legacy_rate && all_done ? 0 : 1;
+  return exit_code(json.write_if_requested(args));
 }

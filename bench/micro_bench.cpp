@@ -221,10 +221,10 @@ BENCHMARK(BM_EngineFloorObserveEmit)->Arg(16);
 
 // --- service API overhead (the BENCH_svc_api.json pair) --------------------
 // One full PIF computation per iteration, driven two ways over the same
-// world: the raw request_pif + done() poll, and a svc session (submit ->
-// run_until -> release). Items = engine steps executed, so the ns/item
-// difference is the per-step tax of the session machinery (target: <= 2 ns
-// on the sealed engine floor).
+// world: a raw `Request := Wait` poke + done() poll, and a svc session
+// (submit -> run_until -> release). Items = engine steps executed, so the
+// ns/item difference is the per-step tax of the session machinery (target:
+// <= 2 ns on the sealed engine floor).
 
 void BM_RawRequestPifCycle(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
@@ -235,7 +235,7 @@ void BM_RawRequestPifCycle(benchmark::State& state) {
   std::uint64_t steps = 0;
   for (auto _ : state) {
     const std::uint64_t before = world.step_count();
-    core::request_pif(world, 0, Value::integer(7));
+    world.process_as<core::PifProcess>(0).pif().request(Value::integer(7));
     world.run(5'000'000, [](sim::Simulator& s) {
       return s.process_as<core::PifProcess>(0).pif().done();
     });
@@ -312,14 +312,18 @@ void BM_SimulatorStep(benchmark::State& state) {
   for (int i = 0; i < n; ++i)
     world.add_process(std::make_unique<core::PifProcess>(n - 1, 1));
   world.set_scheduler(std::make_unique<sim::RandomScheduler>(2));
-  core::request_pif(world, 0, Value::integer(7));
+  svc::Client client(world);
+  const svc::PifBroadcast request{Value::integer(7)};
+  svc::Session session = client.submit(0, request);
   std::uint64_t steps = 0;
   for (auto _ : state) {
     world.run(1);
     ++steps;
     // Keep the system busy: re-request once the computation finishes.
-    if (world.process_as<core::PifProcess>(0).pif().done())
-      core::request_pif(world, 0, Value::integer(7));
+    if (world.process_as<core::PifProcess>(0).pif().done()) {
+      client.release(session);
+      session = client.submit(0, request);
+    }
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(steps));
 }
@@ -333,10 +337,9 @@ void BM_PifComputation(benchmark::State& state) {
     for (int i = 0; i < n; ++i)
       world.add_process(std::make_unique<core::PifProcess>(n - 1, 1));
     world.set_scheduler(std::make_unique<sim::RandomScheduler>(seed++));
-    core::request_pif(world, 0, Value::integer(1));
-    world.run(5'000'000, [](sim::Simulator& s) {
-      return s.process_as<core::PifProcess>(0).pif().done();
-    });
+    svc::Client client(world);
+    client.await_all({client.submit(0, svc::PifBroadcast{Value::integer(1)})},
+                     {.max_steps = 5'000'000});
   }
 }
 BENCHMARK(BM_PifComputation)->Arg(2)->Arg(8)->Arg(32);
@@ -351,7 +354,10 @@ void BM_PifComputationCorrupted(benchmark::State& state) {
     Rng rng(seed * 3);
     sim::fuzz(world, rng);
     world.set_scheduler(std::make_unique<sim::RandomScheduler>(seed++));
-    core::request_pif(world, 0, Value::integer(1));
+    // Sets Request directly: a session would first wait for the fuzzed
+    // ghost computation to drain, and this measures one computation
+    // started over the corrupted state.
+    world.process_as<core::PifProcess>(0).pif().request(Value::integer(1));
     world.run(5'000'000, [](sim::Simulator& s) {
       return s.process_as<core::PifProcess>(0).pif().done();
     });
@@ -365,13 +371,12 @@ void BM_MeGrant(benchmark::State& state) {
   for (int i = 0; i < n; ++i)
     world.add_process(std::make_unique<core::MeStackProcess>(i + 1, n - 1));
   world.set_scheduler(std::make_unique<sim::RandomScheduler>(6));
+  svc::Client client(world);
   int target = 0;
   for (auto _ : state) {
-    core::request_cs(world, target);
-    world.run(50'000'000, [target](sim::Simulator& s) {
-      return s.process_as<core::MeStackProcess>(target).me().request_state() ==
-             core::RequestState::Done;
-    });
+    const svc::Session s = client.submit(target, svc::CriticalSection{});
+    client.await_all({s}, {.max_steps = 50'000'000});
+    client.release(s);
     target = (target + 1) % n;
   }
 }

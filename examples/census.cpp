@@ -15,6 +15,7 @@
 #include "core/stack.hpp"
 #include "sim/fuzz.hpp"
 #include "sim/simulator.hpp"
+#include "svc/client.hpp"
 
 using namespace snapstab;
 
@@ -42,13 +43,13 @@ int main(int argc, char** argv) {
   }
   world.set_scheduler(std::make_unique<sim::RandomScheduler>(seed + 2));
 
-  for (int p = 0; p < n; ++p) core::request_idl(world, p);
-  const auto reason = world.run(4'000'000, [n](sim::Simulator& s) {
-    for (int p = 0; p < n; ++p)
-      if (!s.process_as<core::IdlProcess>(p).idl().done()) return false;
-    return true;
-  });
-  if (reason != sim::Simulator::StopReason::Predicate) {
+  // Every process asks for a census. After a fault, a session first waits
+  // for its process's ghost computation to finish.
+  svc::Client client(world);
+  std::vector<svc::Session> sessions;
+  for (int p = 0; p < n; ++p) sessions.push_back(client.submit(p, svc::Idl{}));
+  if (client.await_all(sessions, {.max_steps = 4'000'000}) !=
+      svc::AwaitResult::Done) {
     std::printf("ERROR: the census did not terminate\n");
     return 1;
   }

@@ -16,6 +16,7 @@
 #include "core/stack.hpp"
 #include "sim/fuzz.hpp"
 #include "sim/simulator.hpp"
+#include "svc/client.hpp"
 
 using namespace snapstab;
 
@@ -48,10 +49,9 @@ int main(int argc, char** argv) {
     const Value payload = Value::integer(7'000'000 + round);
     const std::uint64_t before = world.step_count();
     const std::size_t log_before = world.log().events().size();
-    core::request_pif(world, 0, payload);
-    const auto reason = world.run(500'000, [](sim::Simulator& s) {
-      return s.process_as<core::PifProcess>(0).pif().done();
-    });
+    svc::Client client(world);
+    const svc::AwaitResult served = client.await_all(
+        {client.submit(0, svc::PifBroadcast{payload})}, {.max_steps = 500'000});
 
     int peers_reached = 0;
     const auto& events = world.log().events();
@@ -59,8 +59,8 @@ int main(int argc, char** argv) {
       if (events[i].kind == sim::ObsKind::RecvBrd &&
           events[i].value == payload)
         ++peers_reached;
-    const bool good = reason == sim::Simulator::StopReason::Predicate &&
-                      peers_reached == n - 1;
+    const bool good =
+        served == svc::AwaitResult::Done && peers_reached == n - 1;
     all_good = all_good && good;
     table.add_row({TextTable::cell(round + 1), TextTable::cell(injected),
                    TextTable::cell(world.step_count() - before),

@@ -13,6 +13,7 @@
 #include "common/cli.hpp"
 #include "core/stack.hpp"
 #include "sim/simulator.hpp"
+#include "svc/client.hpp"
 
 using namespace snapstab;
 
@@ -80,11 +81,9 @@ int main(int argc, char** argv) {
         3 + static_cast<int>(rng.below(10)));
   world.set_scheduler(std::make_unique<sim::RandomScheduler>(seed + 2));
 
-  core::request_termdetect(world, 0);
-  const auto reason = world.run(8'000'000, [](sim::Simulator& s) {
-    return s.process_as<core::TermDetectProcess>(0).detector().done();
-  });
-  if (reason != sim::Simulator::StopReason::Predicate) {
+  svc::Client client(world);
+  if (client.await_all({client.submit(0, svc::TermDetect{})},
+                       {.max_steps = 8'000'000}) != svc::AwaitResult::Done) {
     std::printf("ERROR: detection did not finish\n");
     return 1;
   }

@@ -286,16 +286,4 @@ std::unique_ptr<sim::Simulator> forward_world(sim::Topology topology,
   return sim;
 }
 
-bool request_forward(sim::Simulator& sim, sim::ProcessId origin,
-                     sim::ProcessId dst, const Value& payload) {
-  auto& proc = sim.process_as<svc::ServiceHost>(origin);
-  // The historic bool contract: any refusal reason collapses to false.
-  if (proc.forward().submit(payload, dst) != ForwardSubmit::Accepted)
-    return false;
-  sim.log().emit(sim::Observation{sim.step_count(), origin,
-                                  sim::Layer::Service, sim::ObsKind::FwdSubmit,
-                                  dst, payload});
-  return true;
-}
-
 }  // namespace snapstab::core

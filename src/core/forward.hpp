@@ -188,8 +188,8 @@ class Forward {
   std::uint64_t stalled_ = 0;
 };
 
-// The ForwardProcess simulator wrapper, forward_world, request_forward and
-// forward_ghost_budget moved to core/forward_world.hpp (the wrapper is a
+// The ForwardProcess simulator wrapper, forward_world and
+// forward_ghost_budget live in core/forward_world.hpp (the wrapper is a
 // svc::ServiceHost now, and this header must stay includable from there).
 
 }  // namespace snapstab::core

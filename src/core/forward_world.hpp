@@ -31,14 +31,6 @@ std::unique_ptr<sim::Simulator> forward_world(sim::Topology topology,
                                               std::uint64_t seed,
                                               Forward::Options options = {});
 
-// Submits a payload at `origin` for `dst` and records the submission in the
-// observation log (the event check_forward_spec matches deliveries
-// against). Returns false — and records nothing — when the service refused
-// the submission (LEGACY SHIM: any ForwardSubmit refusal reason collapses
-// to false; svc::Client::submit surfaces the reason).
-bool request_forward(sim::Simulator& sim, sim::ProcessId origin,
-                     sim::ProcessId dst, const Value& payload);
-
 // The number of corrupted entries in `sim`'s *current* configuration that
 // can lawfully surface as ghost deliveries: forged FwdData messages in the
 // channels plus payloads sitting in per-hop queues. Capture it right after

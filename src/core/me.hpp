@@ -65,9 +65,9 @@ class Me {
 
   // External request for the critical section (Request := Wait). Ignored
   // while a previous request is still being served, per the paper's usage
-  // rule. Returns true when the request was accepted. Callers inside the
-  // simulator should use core::request_cs (stack.hpp), which also records
-  // the request in the observation log.
+  // rule. Returns true when the request was accepted. Drivers should submit
+  // a svc::CriticalSection session instead, which queues a request that
+  // arrives too early and records it in the observation log.
   bool request_cs();
 
   RequestState request_state() const noexcept { return st_.request; }

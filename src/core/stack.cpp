@@ -108,61 +108,4 @@ TermDetectProcess::TermDetectProcess(int degree, int channel_capacity,
     : ServiceHost(
           termdetect_config(degree, channel_capacity, std::move(app))) {}
 
-// --- legacy shims ----------------------------------------------------------
-// Direct Request pokes with the historic observation format; no session
-// bookkeeping (request_pif's restart-on-rerequest and request_cs's refusal
-// are part of the pinned contract).
-
-void request_pif(sim::Simulator& sim, sim::ProcessId p, const Value& b) {
-  auto& host = sim.process_as<svc::ServiceHost>(p);
-  host.pif().request(b);
-  sim.log().emit(sim::Observation{sim.step_count(), p, sim::Layer::Pif,
-                                  sim::ObsKind::RequestWait, -1, b});
-}
-
-void request_idl(sim::Simulator& sim, sim::ProcessId p) {
-  auto& host = sim.process_as<svc::ServiceHost>(p);
-  host.idl().request();
-  sim.log().emit(sim::Observation{sim.step_count(), p, sim::Layer::Idl,
-                                  sim::ObsKind::RequestWait, -1,
-                                  Value::none()});
-}
-
-bool request_cs(sim::Simulator& sim, sim::ProcessId p) {
-  auto& host = sim.process_as<svc::ServiceHost>(p);
-  if (!host.me().request_cs()) return false;
-  sim.log().emit(sim::Observation{sim.step_count(), p, sim::Layer::Me,
-                                  sim::ObsKind::RequestWait, -1,
-                                  Value::none()});
-  return true;
-}
-
-void request_reset(sim::Simulator& sim, sim::ProcessId p) {
-  sim.process_as<svc::ServiceHost>(p).reset().request();
-  sim.log().emit(sim::Observation{sim.step_count(), p, sim::Layer::Service,
-                                  sim::ObsKind::RequestWait, -1,
-                                  Value::token(Token::Reset)});
-}
-
-void request_election(sim::Simulator& sim, sim::ProcessId p) {
-  sim.process_as<svc::ServiceHost>(p).election().request();
-  sim.log().emit(sim::Observation{sim.step_count(), p, sim::Layer::Idl,
-                                  sim::ObsKind::RequestWait, -1,
-                                  Value::none()});
-}
-
-void request_termdetect(sim::Simulator& sim, sim::ProcessId p) {
-  sim.process_as<svc::ServiceHost>(p).detector().request();
-  sim.log().emit(sim::Observation{sim.step_count(), p, sim::Layer::Service,
-                                  sim::ObsKind::RequestWait, -1,
-                                  Value::token(Token::Probe)});
-}
-
-void request_snapshot(sim::Simulator& sim, sim::ProcessId p) {
-  sim.process_as<svc::ServiceHost>(p).snapshot().request();
-  sim.log().emit(sim::Observation{sim.step_count(), p, sim::Layer::Service,
-                                  sim::ObsKind::RequestWait, -1,
-                                  Value::token(Token::SnapQuery)});
-}
-
 }  // namespace snapstab::core

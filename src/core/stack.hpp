@@ -14,16 +14,10 @@
 //   ResetProcess / ElectionProcess / SnapshotProcess / TermDetectProcess
 //                     — the PIF-based services of the paper's §4.1 list.
 //
-// New code should prefer svc::ServiceHost + svc::Client (the session API,
-// see svc/client.hpp): one submit/poll/complete surface over every
-// protocol, with queuing and uniform results.
-//
-// The request_* helpers below are retained as *legacy shims*: they poke the
-// layer's Request variable directly between simulator steps and record the
-// request in the observation log — the exact historic semantics (including
-// request_pif's restart-on-rerequest), with no session bookkeeping. They
-// keep the six golden traces bit-identical; see README "Service API" for
-// the migration table.
+// Drivers request a computation from any of these stacks through
+// svc::Client::submit (the session API, see svc/client.hpp), which sets the
+// serving layer's Request variable to Wait and records the request in the
+// observation log.
 #ifndef SNAPSTAB_CORE_STACK_HPP
 #define SNAPSTAB_CORE_STACK_HPP
 
@@ -110,37 +104,6 @@ class TermDetectProcess final : public svc::ServiceHost {
  public:
   TermDetectProcess(int degree, int channel_capacity, DiffusingApp app);
 };
-
-// ---------------------------------------------------------------------------
-// External request drivers — LEGACY SHIMS over the svc layer (see the file
-// comment). They work on any svc::ServiceHost with the named layer
-// configured, record the request in the observation log, and preserve the
-// historic semantics exactly. New code: svc::Client::submit.
-// ---------------------------------------------------------------------------
-
-// Requests a PIF broadcast of `b` at process `p`. Re-requesting before the
-// decision restarts the computation (historic behavior; sessions queue
-// instead).
-void request_pif(sim::Simulator& sim, sim::ProcessId p, const Value& b);
-
-// Requests an IDs-Learning computation at process `p`.
-void request_idl(sim::Simulator& sim, sim::ProcessId p);
-
-// Requests the critical section at process `p`; returns false when a
-// previous request is still in service (sessions queue instead).
-bool request_cs(sim::Simulator& sim, sim::ProcessId p);
-
-// Requests a global reset at process `p`.
-void request_reset(sim::Simulator& sim, sim::ProcessId p);
-
-// Requests a leader election at process `p`.
-void request_election(sim::Simulator& sim, sim::ProcessId p);
-
-// Requests a termination detection at process `p`.
-void request_termdetect(sim::Simulator& sim, sim::ProcessId p);
-
-// Requests a global snapshot at process `p`.
-void request_snapshot(sim::Simulator& sim, sim::ProcessId p);
 
 }  // namespace snapstab::core
 

@@ -7,6 +7,7 @@
 #include "core/specs.hpp"
 #include "core/stack.hpp"
 #include "sim/simulator.hpp"
+#include "svc/client.hpp"
 
 namespace snapstab::impossibility {
 
@@ -55,7 +56,7 @@ std::unique_ptr<Simulator> record_initiator_run(sim::ProcessId initiator,
   auto sim = fresh_world(/*capacity=*/1, seed);
   sim->enable_recording();
   sim->set_scheduler(std::make_unique<sim::RoundRobinScheduler>(seed));
-  core::request_cs(*sim, initiator);
+  svc::Client(*sim).submit(initiator, svc::CriticalSection{});
   const auto reason = sim->run(kRecordBudget, [&](Simulator& s) {
     return in_cs(s, initiator);
   });
@@ -99,9 +100,11 @@ ConstructionReport run_unbounded_construction(std::uint64_t seed) {
   auto run_q = record_initiator_run(1, seed + 1, report);
 
   // Step 3 — the stuffed initial configuration γ0 on unbounded channels.
+  // Both requests are part of γ0 itself (Request = Wait at p and q), so
+  // they are installed in the layer state, not submitted.
   auto world = fresh_world(sim::Channel::kUnbounded, seed + 2);
-  core::request_cs(*world, 0);
-  core::request_cs(*world, 1);
+  world->process_as<core::MeStackProcess>(0).me().request_cs();
+  world->process_as<core::MeStackProcess>(1).me().request_cs();
   for (const auto& m : run_p->delivered(1, 0)) {
     if (world->network().channel(1, 0).push(m))
       ++report.preloaded_to_p;
@@ -159,8 +162,11 @@ ConstructionReport run_bounded_counterfactual(std::size_t capacity,
   opts.me.cs_length = 3;
   bounded->add_process(std::make_unique<core::MeStackProcess>(kIdP, 1, opts));
   bounded->add_process(std::make_unique<core::MeStackProcess>(kIdQ, 1, opts));
-  core::request_cs(*bounded, 0);
-  core::request_cs(*bounded, 1);
+  // Submitted, not poked: check_me_spec's liveness check reads the
+  // RequestWait observations the sessions record.
+  svc::Client client(*bounded);
+  client.submit(0, svc::CriticalSection{});
+  client.submit(1, svc::CriticalSection{});
   for (const auto& m : run_p->delivered(1, 0)) {
     if (bounded->network().channel(1, 0).push(m))
       ++report.preloaded_to_p;

@@ -20,8 +20,8 @@ Session Client::submit_desc(sim::ProcessId origin, const Descriptor& d,
                             CompletionFn cb) {
   // A forwarding session completes by matching the delivery record at its
   // destination — turn recording on there before anything can arrive.
-  // Hosts never submitted to this way record nothing (legacy shim-driven
-  // worlds keep the allocation-free delivery path).
+  // Worlds with no ForwardMsg session record nothing (their ghost
+  // deliveries keep the allocation-free delivery path).
   if (d.service == ServiceId::ForwardMsg) {
     if (d.dst >= 0 && d.dst < process_count())
       with_host(d.dst, [](ServiceHost& host) {
@@ -30,7 +30,7 @@ Session Client::submit_desc(sim::ProcessId origin, const Descriptor& d,
       });
   }
   // The RequestWait / FwdSubmit observation of a driver-side submission
-  // goes to the backend's log, exactly where the request_* helpers put it.
+  // goes to the backend's log, stamped with the current step.
   ServiceHost::Emit emit;
   if (sim_ != nullptr) {
     emit = [this, origin](sim::Layer l, sim::ObsKind k, int peer,

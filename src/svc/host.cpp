@@ -65,8 +65,8 @@ ServiceHost::ServiceHost(HostConfig config) : cfg_(std::move(config)) {
     fwd_ = std::make_unique<core::Forward>(cfg_.self, cfg_.degree,
                                            cfg_.routes, cfg_.forward_options);
     // Recording is off until a client submits a ForwardMsg session
-    // somewhere in the world (enable_delivery_recording): shim-driven
-    // worlds keep the zero-allocation delivery path and grow nothing.
+    // somewhere in the world (enable_delivery_recording): worlds that only
+    // see ghost deliveries keep the zero-allocation delivery path.
     fwd_->set_on_deliver([this](const FwdHeader& h, const Value& payload) {
       if (record_deliveries_)
         deliveries_.push_back(Delivery{h.origin, h.seq & 0xFFFFFu, payload});
@@ -171,7 +171,7 @@ bool ServiceHost::service_available(ServiceId s) const {
 template <typename EmitFn>
 void ServiceHost::start(SessionRec& rec, const EmitFn& emit) {
   // Sets Request := Wait on the serving layer and records the request event
-  // with the exact layer/peer/value the historic request_* helpers used.
+  // (the layer/peer/value the spec checkers match Start events against).
   switch (rec.desc.service) {
     case ServiceId::PifBroadcast:
       pif_->request(rec.desc.payload);

@@ -20,10 +20,10 @@
 // is routed by the process's *own* current B-Mes.
 //
 // Determinism contract: the session machinery performs NO RNG draws and
-// emits observations only where the historic request_* helpers did
-// (RequestWait at session start, with identical layer/peer/value), so a
-// world driven through sessions and one driven through the old helpers
-// produce bit-identical executions.
+// emits exactly one observation per session start (RequestWait, or
+// FwdSubmit for an accepted forward). A session started on an idle layer
+// therefore differs from a raw `Request := Wait` poke of that layer only by
+// that one log line (pinned by test_svc's SvcDeterminism suite).
 #ifndef SNAPSTAB_SVC_HOST_HPP
 #define SNAPSTAB_SVC_HOST_HPP
 
@@ -141,8 +141,8 @@ class ServiceHost : public sim::Process {
   void take_deliveries(std::vector<Delivery>& out);
   void finish_forward(std::uint32_t seq);  // origin side: mark Done, fire cb
   // Flipped by the Client, world-wide, at the first ForwardMsg submission;
-  // until then the delivery hook records nothing, so worlds driven through
-  // the legacy request_forward shim allocate nothing per delivery.
+  // until then the delivery hook records nothing, so a world that only sees
+  // ghost deliveries allocates nothing per delivery.
   void enable_delivery_recording() noexcept { record_deliveries_ = true; }
 
   int session_count() const noexcept { return static_cast<int>(by_seq_.size()); }
@@ -222,8 +222,8 @@ class ServiceHost : public sim::Process {
   std::uint32_t alloc_slot(SessionRec&& rec);
   core::RequestState layer_state(ServiceId s) const;
   bool service_available(ServiceId s) const;
-  // Sets the layer's Request := Wait and emits the RequestWait observation
-  // (identical layer/peer/value to the historic request_* helpers).
+  // Sets the layer's Request := Wait and emits the RequestWait observation.
+  // Every submitted session reaches its layer through here.
   template <typename EmitFn>
   void start(SessionRec& rec, const EmitFn& emit);
   void complete(SessionRec& rec);

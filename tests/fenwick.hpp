@@ -1,10 +1,11 @@
 // fenwick.hpp — a Fenwick (binary indexed) tree over 0/1 membership bits.
 //
-// Backs the simulator's enabled-step index: the scheduler needs "how many
-// items are in the set" and "which is the k-th smallest member" without
-// scanning or allocating. Both are O(log n); flipping a bit is O(log n).
-#ifndef SNAPSTAB_COMMON_FENWICK_HPP
-#define SNAPSTAB_COMMON_FENWICK_HPP
+// A test oracle: it answers the queries of the simulator's enabled-step
+// index ("how many items are in the set", "which is the k-th smallest
+// member") in O(log n) each, so the RankSet differential test in
+// test_sealed_dispatch.cpp checks common/rankset.hpp against it.
+#ifndef SNAPSTAB_TESTS_FENWICK_HPP
+#define SNAPSTAB_TESTS_FENWICK_HPP
 
 #include <vector>
 
@@ -71,4 +72,4 @@ class FenwickSet {
 
 }  // namespace snapstab
 
-#endif  // SNAPSTAB_COMMON_FENWICK_HPP
+#endif  // SNAPSTAB_TESTS_FENWICK_HPP

@@ -121,7 +121,8 @@ inline std::unique_ptr<sim::Simulator> run_me_stack() {
   for (int p = 0; p < 3; ++p)
     sim->add_process(
         std::make_unique<core::MeStackProcess>(p + 1, 2, options));
-  for (int p = 0; p < 3; ++p) core::request_cs(*sim, p);
+  svc::Client client(*sim);
+  for (int p = 0; p < 3; ++p) client.submit(p, svc::CriticalSection{});
   sim->set_scheduler(std::make_unique<sim::RandomScheduler>(5));
   sim->run(30'000);
   return sim;
@@ -134,9 +135,10 @@ inline std::unique_ptr<sim::Simulator> run_fwd_ring() {
   auto sim = core::forward_world(sim::Topology::ring(5), 1, /*seed=*/17);
   sim->set_scheduler(std::make_unique<sim::RandomScheduler>(
       17, sim::LossOptions{.rate = 0.1, .max_consecutive = 4}));
-  core::request_forward(*sim, 0, 2, Value::integer(42));
-  core::request_forward(*sim, 3, 1, Value::integer(43));
-  core::request_forward(*sim, 4, 2, Value::integer(44));
+  svc::Client client(*sim);
+  client.submit(0, svc::ForwardMsg{.dst = 2, .payload = Value::integer(42)});
+  client.submit(3, svc::ForwardMsg{.dst = 1, .payload = Value::integer(43)});
+  client.submit(4, svc::ForwardMsg{.dst = 2, .payload = Value::integer(44)});
   sim->run(500'000, [](sim::Simulator& s) {
     std::uint64_t delivered = 0;
     for (int p = 0; p < s.process_count(); ++p)

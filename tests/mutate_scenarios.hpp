@@ -310,12 +310,12 @@ inline Outcome run_spec_idl_exact() {
   Rng fuzz_rng(23);
   sim::fuzz(sim, fuzz_rng);
   sim.set_scheduler(std::make_unique<sim::RandomScheduler>(23));
-  for (int p = 0; p < 4; ++p) core::request_idl(sim, p);
-  sim.run(500'000, [](sim::Simulator& s) {
-    for (int p = 0; p < s.process_count(); ++p)
-      if (!s.process_as<core::IdlProcess>(p).idl().done()) return false;
-    return true;
-  });
+  // A session queues behind its host's ghost computation; awaiting the
+  // sessions stops once every requested computation has run.
+  svc::Client client(sim);
+  std::vector<svc::Session> sessions;
+  for (int p = 0; p < 4; ++p) sessions.push_back(client.submit(p, svc::Idl{}));
+  client.await_all(sessions, {.max_steps = 500'000});
   for (int p = 0; p < 4; ++p) {
     const auto& idl = sim.process_as<core::IdlProcess>(p).idl();
     ck.require(idl.done(), "idl.exact: computation " + std::to_string(p) +
@@ -349,7 +349,8 @@ inline Outcome run_spec_me_cycle() {
   options.me.cs_length = 3;
   for (int p = 0; p < 3; ++p)
     sim.add_process(std::make_unique<core::MeStackProcess>(p + 1, 2, options));
-  for (int p = 0; p < 3; ++p) core::request_cs(sim, p);
+  svc::Client client(sim);
+  for (int p = 0; p < 3; ++p) client.submit(p, svc::CriticalSection{});
   sim.set_scheduler(std::make_unique<sim::RandomScheduler>(29));
   sim.run(60'000);
   ck.spec(core::check_me_spec(sim, {.require_liveness = true}),
@@ -599,12 +600,17 @@ inline Outcome run_spec_fwd_ring() {
       57, sim::LossOptions{.rate = 0.1, .max_consecutive = 4}));
   // Payloads >= 10^6 are outside Value::random's range, so no fuzzed ghost
   // can impersonate them (see check_forward_spec's header comment).
-  ck.require(core::request_forward(*sim, 0, 2, Value::integer(1'000'042)),
-             "fwd.ring: submit 0->2 accepted");
-  ck.require(core::request_forward(*sim, 3, 1, Value::integer(1'000'043)),
-             "fwd.ring: submit 3->1 accepted");
-  ck.require(core::request_forward(*sim, 4, 2, Value::integer(1'000'044)),
-             "fwd.ring: submit 4->2 accepted");
+  svc::Client client(*sim);
+  const auto submit = [&](sim::ProcessId origin, sim::ProcessId dst,
+                          std::int64_t payload) {
+    return client
+        .submit(origin, svc::ForwardMsg{.dst = dst,
+                                        .payload = Value::integer(payload)})
+        .accepted();
+  };
+  ck.require(submit(0, 2, 1'000'042), "fwd.ring: submit 0->2 accepted");
+  ck.require(submit(3, 1, 1'000'043), "fwd.ring: submit 3->1 accepted");
+  ck.require(submit(4, 2, 1'000'044), "fwd.ring: submit 4->2 accepted");
   sim->run(500'000, [](sim::Simulator& s) {
     std::uint64_t delivered = 0;
     for (int p = 0; p < s.process_count(); ++p)
@@ -917,7 +923,8 @@ inline Outcome run_fuzz_me(std::uint64_t seed) {
     sim.add_process(std::make_unique<core::MeStackProcess>(p + 1, 2, options));
   Rng fuzz_rng(seed ^ 0xA5Eu);
   sim::fuzz(sim, fuzz_rng);
-  for (int p = 0; p < 3; ++p) core::request_cs(sim, p);
+  svc::Client client(sim);
+  for (int p = 0; p < 3; ++p) client.submit(p, svc::CriticalSection{});
   sim.set_scheduler(std::make_unique<sim::RandomScheduler>(seed));
   sim.run(120'000);
   ck.spec(core::check_me_spec(sim, {.require_liveness = true}),
@@ -940,13 +947,17 @@ inline Outcome run_fuzz_fwd(std::uint64_t seed) {
   fo.wild_flags = true;
   sim::fuzz(*sim, fuzz_rng, fo);
   const std::uint64_t ghosts = core::forward_ghost_budget(*sim);
-  ck.require(core::request_forward(*sim, 0, 2,
-                                   Value::integer(2'000'000 +
-                                                  static_cast<int>(seed))),
+  svc::Client client(*sim);
+  const auto submit = [&](sim::ProcessId origin, sim::ProcessId dst,
+                          std::int64_t payload) {
+    return client
+        .submit(origin, svc::ForwardMsg{.dst = dst,
+                                        .payload = Value::integer(payload)})
+        .accepted();
+  };
+  ck.require(submit(0, 2, 2'000'000 + static_cast<std::int64_t>(seed)),
              "fuzz.fwd: submit 0->2 accepted");
-  ck.require(core::request_forward(*sim, 1, 3,
-                                   Value::integer(3'000'000 +
-                                                  static_cast<int>(seed))),
+  ck.require(submit(1, 3, 3'000'000 + static_cast<std::int64_t>(seed)),
              "fuzz.fwd: submit 1->3 accepted");
   sim->set_scheduler(std::make_unique<sim::RandomScheduler>(seed));
   sim->run(400'000, [](sim::Simulator&) { return false; });

@@ -14,6 +14,8 @@
 #include "core/stack.hpp"
 #include "sim/fuzz.hpp"
 #include "sim/simulator.hpp"
+#include "svc/client.hpp"
+#include "test_util.hpp"
 
 namespace snapstab::core {
 namespace {
@@ -33,11 +35,9 @@ TEST_P(CapacitySweep, SpecHoldsWhenBoundMatchesChannels) {
     opts.flag_limit = 2 * c + 2;
     sim::fuzz(sim, rng, opts);
     sim.set_scheduler(std::make_unique<sim::RandomScheduler>(seed));
-    request_pif(sim, 0, Value::text("bounded"));
-    const auto reason = sim.run(600'000, [](Simulator& s) {
-      return s.process_as<PifProcess>(0).pif().done();
-    });
-    ASSERT_EQ(reason, Simulator::StopReason::Predicate)
+    ASSERT_EQ(serve(sim, 0, svc::PifBroadcast{Value::text("bounded")},
+                    600'000),
+              svc::AwaitResult::Done)
         << "c=" << c << " seed=" << seed;
     const auto report = check_pif_spec(
         sim, {.require_termination = false, .require_start = false});
@@ -61,7 +61,7 @@ TEST(CapacityMismatch, UnderestimatedBoundAdmitsGhostDecision) {
     net.channel(1, 0).push(
         Message::pif(Value::text("stale"), Value::text("stale"), 0, flag));
 
-  request_pif(sim, 0, Value::text("real"));
+  svc::Client(sim).submit(0, svc::PifBroadcast{Value::text("real")});
   // Drive adversarially: p ticks (starts), then consumes the four stale
   // echoes, then decides — q is never activated at all.
   sim.execute(sim::Step::tick(0));
@@ -90,7 +90,7 @@ TEST(CapacityMismatch, CorrectBoundSurvivesTheSameAttack) {
     net.channel(1, 0).push(
         Message::pif(Value::text("stale"), Value::text("stale"), 0, flag));
 
-  request_pif(sim, 0, Value::text("real"));
+  svc::Client(sim).submit(0, svc::PifBroadcast{Value::text("real")});
   sim.execute(sim::Step::tick(0));
   for (int i = 0; i < 4; ++i) sim.execute(sim::Step::deliver(1, 0));
   sim.execute(sim::Step::tick(0));
@@ -129,7 +129,7 @@ TEST(CapacityMismatch, WorstCaseStaleIncrementsAreTwoCPlusOne) {
   net.channel(0, 1).push(Message::pif(Value::none(), Value::none(), 3, 0));
   net.channel(0, 1).push(Message::pif(Value::none(), Value::none(), 4, 0));
 
-  request_pif(sim, 0, Value::text("m"));
+  svc::Client(sim).submit(0, svc::PifBroadcast{Value::text("m")});
   auto& p = sim.process_as<PifProcess>(0).pif();
 
   sim.execute(sim::Step::tick(0));           // start; sends die on full 0->1

@@ -16,6 +16,8 @@
 #include "sim/adversary.hpp"
 #include "sim/simulator.hpp"
 #include "sim/timeline.hpp"
+#include "svc/client.hpp"
+#include "test_util.hpp"
 
 namespace snapstab {
 namespace {
@@ -110,11 +112,8 @@ TEST_P(PifChaos, EveryPostStrikeRequestServedCorrectly) {
     const auto report = adversary.strike(sim);
     const Value payload = Value::integer(9'000'000 + round);
     const std::size_t log_mark = sim.log().events().size();
-    core::request_pif(sim, round % n, payload);
-    const auto reason = sim.run(500'000, [round, n](Simulator& s) {
-      return s.process_as<PifProcess>(round % n).pif().done();
-    });
-    ASSERT_EQ(reason, Simulator::StopReason::Predicate)
+    ASSERT_EQ(serve(sim, round % n, svc::PifBroadcast{payload}, 500'000),
+              svc::AwaitResult::Done)
         << "seed " << seed << " round " << round << " did not terminate; "
         << report.summary();
     // The post-strike request reached every peer. At least n-1 receive-brd
@@ -164,11 +163,8 @@ TEST_P(IdlChaos, LearnsExactTablesAfterEveryStrike) {
   for (int round = 0; round < 10; ++round) {
     const auto report = adversary.strike(sim);
     const int initiator = round % n;
-    core::request_idl(sim, initiator);
-    const auto reason = sim.run(500'000, [initiator](Simulator& s) {
-      return s.process_as<IdlProcess>(initiator).idl().done();
-    });
-    ASSERT_EQ(reason, Simulator::StopReason::Predicate)
+    ASSERT_EQ(serve(sim, initiator, svc::Idl{}, 500'000),
+              svc::AwaitResult::Done)
         << "seed " << seed << " round " << round << "; " << report.summary();
     EXPECT_EQ(sim.process_as<IdlProcess>(initiator).idl().min_id(), 20)
         << "seed " << seed << " round " << round << "; " << report.summary();
@@ -208,17 +204,13 @@ TEST_P(MeChaos, ExclusionSurvivesRepeatedStrikes) {
 
     const int requester = round % n;
     const std::size_t log_mark = sim.log().events().size();
-    // The fuzzed request variable may not be Done; force the round's
-    // request through the same path the application would use.
+    // The fuzzed request variable may not be Done; clear it so the round's
+    // session starts at once instead of queuing behind a ghost request.
     auto& me = sim.process_as<MeStackProcess>(requester).me();
     me.mutable_state().request = core::RequestState::Done;
     me.mutable_state().externally_requested = false;
-    ASSERT_TRUE(core::request_cs(sim, requester));
-    const auto reason = sim.run(3'000'000, [requester](Simulator& s) {
-      return s.process_as<MeStackProcess>(requester).me().request_state() ==
-             core::RequestState::Done;
-    });
-    ASSERT_EQ(reason, Simulator::StopReason::Predicate)
+    ASSERT_EQ(serve(sim, requester, svc::CriticalSection{}, 3'000'000),
+              svc::AwaitResult::Done)
         << "seed " << seed << " round " << round << "; " << report.summary();
     // The requested CS of this round did not overlap any other CS.
     const auto& events = sim.log().events();
@@ -243,10 +235,7 @@ TEST(Timeline, RendersFilteredEvents) {
   sim.add_process(std::make_unique<PifProcess>(1, 1));
   sim.add_process(std::make_unique<PifProcess>(1, 1));
   sim.set_scheduler(std::make_unique<sim::RandomScheduler>(2));
-  core::request_pif(sim, 0, Value::text("hello"));
-  sim.run(100'000, [](Simulator& s) {
-    return s.process_as<PifProcess>(0).pif().done();
-  });
+  serve(sim, 0, svc::PifBroadcast{Value::text("hello")}, 100'000);
 
   const std::string all = sim::render_timeline(sim.log());
   EXPECT_NE(all.find("start"), std::string::npos);

@@ -23,6 +23,7 @@
 #include "sim/adversary.hpp"
 #include "sim/fuzz.hpp"
 #include "sim/simulator.hpp"
+#include "svc/client.hpp"
 
 namespace snapstab {
 namespace {
@@ -112,6 +113,15 @@ TEST(FwdHeader, PacksAndUnpacksEveryField) {
 // surfaced as a delivery.
 constexpr std::int64_t kBase = 1'000'000;
 
+// Submits `payload` at `origin` for `dst`; true when the service accepted it
+// (every refusal reason reads false here).
+bool submit(Simulator& sim, sim::ProcessId origin, sim::ProcessId dst,
+            const Value& payload) {
+  return svc::Client(sim)
+      .submit(origin, svc::ForwardMsg{.dst = dst, .payload = payload})
+      .accepted();
+}
+
 std::function<bool(Simulator&)> delivered_at_least(int expected) {
   // Incremental log scan — shared cursor so the per-step cost stays O(new).
   auto scanned = std::make_shared<std::size_t>(0);
@@ -131,7 +141,7 @@ std::function<bool(Simulator&)> delivered_at_least(int expected) {
 TEST(Forwarding, SingleHopDeliversExactlyOnce) {
   auto sim = core::forward_world(Topology::line(2), 1, 1);
   sim->set_scheduler(std::make_unique<sim::RandomScheduler>(1));
-  ASSERT_TRUE(core::request_forward(*sim, 0, 1, Value::integer(kBase)));
+  ASSERT_TRUE(submit(*sim, 0, 1, Value::integer(kBase)));
   ASSERT_EQ(sim->run(100'000, delivered_at_least(1)),
             Simulator::StopReason::Predicate);
   const auto report = core::check_forward_spec(*sim);
@@ -143,10 +153,10 @@ TEST(Forwarding, SingleHopDeliversExactlyOnce) {
 TEST(Forwarding, MultiHopCrossTrafficOnALine) {
   auto sim = core::forward_world(Topology::line(5), 1, 2);
   sim->set_scheduler(std::make_unique<sim::RandomScheduler>(2));
-  ASSERT_TRUE(core::request_forward(*sim, 0, 4, Value::integer(kBase + 0)));
-  ASSERT_TRUE(core::request_forward(*sim, 4, 0, Value::integer(kBase + 1)));
-  ASSERT_TRUE(core::request_forward(*sim, 1, 3, Value::integer(kBase + 2)));
-  ASSERT_TRUE(core::request_forward(*sim, 2, 2, Value::integer(kBase + 3)));
+  ASSERT_TRUE(submit(*sim, 0, 4, Value::integer(kBase + 0)));
+  ASSERT_TRUE(submit(*sim, 4, 0, Value::integer(kBase + 1)));
+  ASSERT_TRUE(submit(*sim, 1, 3, Value::integer(kBase + 2)));
+  ASSERT_TRUE(submit(*sim, 2, 2, Value::integer(kBase + 3)));
   ASSERT_EQ(sim->run(2'000'000, delivered_at_least(4)),
             Simulator::StopReason::Predicate);
   const auto report = core::check_forward_spec(*sim);
@@ -162,10 +172,10 @@ TEST(Forwarding, SelfAddressedSubmissionDeliversLocally) {
   auto sim = core::forward_world(Topology::line(2), 1, 3,
                                  Forward::Options{.hop_buffer = 2});
   sim->set_scheduler(std::make_unique<sim::RandomScheduler>(3));
-  ASSERT_TRUE(core::request_forward(*sim, 0, 0, Value::integer(kBase)));
-  ASSERT_TRUE(core::request_forward(*sim, 0, 0, Value::integer(kBase + 1)));
+  ASSERT_TRUE(submit(*sim, 0, 0, Value::integer(kBase)));
+  ASSERT_TRUE(submit(*sim, 0, 0, Value::integer(kBase + 1)));
   // The local delivery queue honors the same hop_buffer bound as out-links.
-  EXPECT_FALSE(core::request_forward(*sim, 0, 0, Value::integer(kBase + 2)));
+  EXPECT_FALSE(submit(*sim, 0, 0, Value::integer(kBase + 2)));
   ASSERT_EQ(sim->run(10'000, delivered_at_least(2)),
             Simulator::StopReason::Predicate);
   EXPECT_TRUE(core::check_forward_spec(*sim).ok());
@@ -188,10 +198,11 @@ TEST(Forwarding, FullFirstHopBufferRefusesWithoutLosingAcceptedPayloads) {
   sim->set_scheduler(std::make_unique<sim::RandomScheduler>(5));
   // Two submissions fill the first hop (one active + one queued); the third
   // is refused and records nothing.
-  ASSERT_TRUE(core::request_forward(*sim, 0, 2, Value::integer(kBase + 0)));
-  ASSERT_TRUE(core::request_forward(*sim, 0, 2, Value::integer(kBase + 1)));
-  // submit() alone would also refuse — request_forward must not log it.
-  EXPECT_FALSE(core::request_forward(*sim, 0, 2, Value::integer(kBase + 2)));
+  ASSERT_TRUE(submit(*sim, 0, 2, Value::integer(kBase + 0)));
+  ASSERT_TRUE(submit(*sim, 0, 2, Value::integer(kBase + 1)));
+  // A refused submission records no FwdSubmit, so the spec check below
+  // expects exactly the two accepted payloads.
+  EXPECT_FALSE(submit(*sim, 0, 2, Value::integer(kBase + 2)));
   ASSERT_EQ(sim->run(1'000'000, delivered_at_least(2)),
             Simulator::StopReason::Predicate);
   const auto report = core::check_forward_spec(*sim);
@@ -203,10 +214,10 @@ TEST(Forwarding, BackpressureStallsTheHandshakeInsteadOfDropping) {
   auto sim = core::forward_world(Topology::line(3), 1, 6,
                                  Forward::Options{.hop_buffer = 1});
   sim->set_scheduler(std::make_unique<sim::RandomScheduler>(6));
-  ASSERT_TRUE(core::request_forward(*sim, 0, 2, Value::integer(kBase + 0)));
+  ASSERT_TRUE(submit(*sim, 0, 2, Value::integer(kBase + 0)));
   ASSERT_EQ(sim->run(1'000'000, delivered_at_least(1)),
             Simulator::StopReason::Predicate);
-  ASSERT_TRUE(core::request_forward(*sim, 0, 2, Value::integer(kBase + 1)));
+  ASSERT_TRUE(submit(*sim, 0, 2, Value::integer(kBase + 1)));
   ASSERT_EQ(sim->run(1'000'000, delivered_at_least(2)),
             Simulator::StopReason::Predicate);
   const auto report = core::check_forward_spec(*sim);
@@ -269,8 +280,7 @@ TEST_P(ForwardingSnap, EveryPostInitSendDeliveredExactlyOnce) {
         static_cast<int>(pick.below(static_cast<std::uint64_t>(n)));
     const auto dst =
         static_cast<int>(pick.below(static_cast<std::uint64_t>(n)));
-    if (core::request_forward(*sim, origin, dst,
-                              Value::integer(kBase + accepted)))
+    if (submit(*sim, origin, dst, Value::integer(kBase + accepted)))
       ++accepted;
   }
 
@@ -330,7 +340,7 @@ TEST(Forwarding, SurvivesRepeatedAdversaryStrikes) {
     const int origin = round % 5;
     const int dst = (round + 2) % 5;
     const Value payload = Value::integer(kBase + round);
-    ASSERT_TRUE(core::request_forward(*sim, origin, dst, payload));
+    ASSERT_TRUE(submit(*sim, origin, dst, payload));
     // Snap-stabilization, per round: the payload submitted *after* this
     // strike reaches its destination. (Remnants of earlier rounds may
     // lawfully re-surface after later strikes — the paper's unexpected

@@ -7,6 +7,8 @@
 #include "core/stack.hpp"
 #include "sim/fuzz.hpp"
 #include "sim/simulator.hpp"
+#include "svc/client.hpp"
+#include "test_util.hpp"
 
 namespace snapstab::core {
 namespace {
@@ -36,12 +38,7 @@ TEST(Idl, LearnsIdsFromCleanState) {
   const std::vector<std::int64_t> ids = {42, 17, 88, 5};
   auto sim = idl_world(ids, 1);
   sim->set_scheduler(std::make_unique<sim::RandomScheduler>(2));
-  request_idl(*sim, 0);
-  ASSERT_EQ(sim->run(400'000,
-                     [](Simulator& s) {
-                       return s.process_as<IdlProcess>(0).idl().done();
-                     }),
-            Simulator::StopReason::Predicate);
+  ASSERT_EQ(serve(*sim, 0, svc::Idl{}, 400'000), svc::AwaitResult::Done);
   const Idl& idl = sim->process_as<IdlProcess>(0).idl();
   EXPECT_EQ(idl.min_id(), 5);
   // Channel k of process 0 is process k+1.
@@ -56,12 +53,7 @@ TEST(Idl, MinIncludesOwnId) {
   const std::vector<std::int64_t> ids = {3, 17, 88};
   auto sim = idl_world(ids, 3);
   sim->set_scheduler(std::make_unique<sim::RandomScheduler>(4));
-  request_idl(*sim, 0);
-  ASSERT_EQ(sim->run(400'000,
-                     [](Simulator& s) {
-                       return s.process_as<IdlProcess>(0).idl().done();
-                     }),
-            Simulator::StopReason::Predicate);
+  ASSERT_EQ(serve(*sim, 0, svc::Idl{}, 400'000), svc::AwaitResult::Done);
   EXPECT_EQ(sim->process_as<IdlProcess>(0).idl().min_id(), 3);
 }
 
@@ -69,12 +61,7 @@ TEST(Idl, NegativeIdsSupported) {
   const std::vector<std::int64_t> ids = {-7, 0, 12};
   auto sim = idl_world(ids, 5);
   sim->set_scheduler(std::make_unique<sim::RandomScheduler>(6));
-  request_idl(*sim, 2);
-  ASSERT_EQ(sim->run(400'000,
-                     [](Simulator& s) {
-                       return s.process_as<IdlProcess>(2).idl().done();
-                     }),
-            Simulator::StopReason::Predicate);
+  ASSERT_EQ(serve(*sim, 2, svc::Idl{}, 400'000), svc::AwaitResult::Done);
   EXPECT_EQ(sim->process_as<IdlProcess>(2).idl().min_id(), -7);
   EXPECT_TRUE(check(*sim, ids).ok());
 }
@@ -96,16 +83,13 @@ TEST_P(IdlProperty, Specification2FromArbitraryConfigurations) {
   sim->set_scheduler(std::make_unique<sim::RandomScheduler>(
       seed + 1, sim::LossOptions{.rate = loss, .max_consecutive = 5}));
 
-  // Every process runs a requested computation.
-  for (int p = 0; p < n; ++p) request_idl(*sim, p);
-  const auto reason = sim->run(1'500'000, [n](Simulator& s) {
-    for (int p = 0; p < n; ++p) {
-      const auto& idl = s.process_as<IdlProcess>(p).idl();
-      if (!idl.done()) return false;
-    }
-    return true;
-  });
-  ASSERT_EQ(reason, Simulator::StopReason::Predicate);
+  // Every process runs a requested computation; a session waits behind its
+  // host's ghost computation.
+  svc::Client client(*sim);
+  std::vector<svc::Session> sessions;
+  for (int p = 0; p < n; ++p) sessions.push_back(client.submit(p, svc::Idl{}));
+  ASSERT_EQ(client.await_all(sessions, {.max_steps = 1'500'000}),
+            svc::AwaitResult::Done);
   const auto report = check(*sim, ids);
   EXPECT_TRUE(report.ok()) << report.summary();
 }
@@ -142,12 +126,7 @@ TEST(Idl, RepeatedComputationsRefreshResults) {
     auto& idl = sim->process_as<IdlProcess>(0).idl();
     idl.mutable_state().min_id = 999;
     idl.mutable_state().id_tab[0] = 777;
-    request_idl(*sim, 0);
-    ASSERT_EQ(sim->run(300'000,
-                       [](Simulator& s) {
-                         return s.process_as<IdlProcess>(0).idl().done();
-                       }),
-              Simulator::StopReason::Predicate);
+    ASSERT_EQ(serve(*sim, 0, svc::Idl{}, 300'000), svc::AwaitResult::Done);
     EXPECT_EQ(idl.min_id(), 50);
     EXPECT_EQ(idl.id_tab(0), 60);
   }
@@ -172,7 +151,7 @@ TEST(Idl, GhostFeedbackInTheStartWindowCannotPoisonMinId) {
   sim->network().channel(1, 0).push(
       Message::pif(Value::none(), Value::integer(-999), 0, 3));
 
-  request_idl(*sim, 0);
+  svc::Client(*sim).submit(0, svc::Idl{});
   sim->execute(sim::Step::tick(0));      // IDL A1 + PIF A1 atomically
   sim->execute(sim::Step::deliver(1, 0));  // the adversarial echo arrives
   EXPECT_EQ(proc.idl().min_id(), 100) << "ghost feedback poisoned minID";

@@ -9,6 +9,8 @@
 #include "core/stack.hpp"
 #include "sim/fuzz.hpp"
 #include "sim/simulator.hpp"
+#include "svc/client.hpp"
+#include "test_util.hpp"
 
 namespace snapstab::core {
 namespace {
@@ -38,10 +40,8 @@ TEST(Me, SingleRequestIsServed) {
   // Lemma 12 (Start): a requesting process enters the CS in finite time.
   auto sim = me_world({30, 10, 20}, 1);
   sim->set_scheduler(std::make_unique<sim::RandomScheduler>(2));
-  ASSERT_TRUE(request_cs(*sim, 0));
-  ASSERT_EQ(sim->run(1'000'000,
-                     [](Simulator& s) { return request_served(s, 0); }),
-            Simulator::StopReason::Predicate);
+  ASSERT_EQ(serve(*sim, 0, svc::CriticalSection{}, 1'000'000),
+            svc::AwaitResult::Done);
   const auto report = check_me_spec(*sim);
   EXPECT_TRUE(report.ok()) << report.summary();
 }
@@ -49,23 +49,21 @@ TEST(Me, SingleRequestIsServed) {
 TEST(Me, LeaderItselfCanRequest) {
   auto sim = me_world({10, 30, 20}, 3);
   sim->set_scheduler(std::make_unique<sim::RandomScheduler>(4));
-  ASSERT_TRUE(request_cs(*sim, 0));  // process 0 holds the smallest id
-  ASSERT_EQ(sim->run(1'000'000,
-                     [](Simulator& s) { return request_served(s, 0); }),
-            Simulator::StopReason::Predicate);
+  // Process 0 holds the smallest id.
+  ASSERT_EQ(serve(*sim, 0, svc::CriticalSection{}, 1'000'000),
+            svc::AwaitResult::Done);
   EXPECT_TRUE(check_me_spec(*sim).ok());
 }
 
 TEST(Me, AllProcessesRequestingAreAllServedExclusively) {
   auto sim = me_world({5, 9, 2, 7}, 5);
   sim->set_scheduler(std::make_unique<sim::RandomScheduler>(6));
-  for (int p = 0; p < 4; ++p) ASSERT_TRUE(request_cs(*sim, p));
-  const auto reason = sim->run(4'000'000, [](Simulator& s) {
-    for (int p = 0; p < 4; ++p)
-      if (!request_served(s, p)) return false;
-    return true;
-  });
-  ASSERT_EQ(reason, Simulator::StopReason::Predicate);
+  svc::Client client(*sim);
+  std::vector<svc::Session> sessions;
+  for (int p = 0; p < 4; ++p)
+    sessions.push_back(client.submit(p, svc::CriticalSection{}));
+  ASSERT_EQ(client.await_all(sessions, {.max_steps = 4'000'000}),
+            svc::AwaitResult::Done);
   const auto report = check_me_spec(*sim);
   EXPECT_TRUE(report.ok()) << report.summary();
   // Every process entered the CS exactly once (one request each).
@@ -79,8 +77,9 @@ TEST(Me, AllProcessesRequestingAreAllServedExclusively) {
 
 TEST(Me, RequestWhileInServiceIsRejected) {
   auto sim = me_world({1, 2}, 7);
-  ASSERT_TRUE(request_cs(*sim, 0));
-  EXPECT_FALSE(request_cs(*sim, 0));  // paper: no re-request until Done
+  // The paper's usage rule: no re-request until Done.
+  ASSERT_TRUE(me_of(*sim, 0).request_cs());
+  EXPECT_FALSE(me_of(*sim, 0).request_cs());
 }
 
 TEST(Me, FavourRotationVisitsEveryProcess) {
@@ -108,7 +107,7 @@ TEST(Me, ExitForcesEveryoneToPhaseZero) {
   me_of(*sim, 1).mutable_state().phase = 3;
   me_of(*sim, 2).mutable_state().phase = 2;
   sim->set_scheduler(std::make_unique<sim::RandomScheduler>(12));
-  ASSERT_TRUE(request_cs(*sim, 0));
+  svc::Client(*sim).submit(0, svc::CriticalSection{});
   ASSERT_EQ(sim->run(1'000'000,
                      [](Simulator& s) {
                        return s.process_as<MeStackProcess>(0).me().in_cs();
@@ -132,10 +131,8 @@ TEST(Me, GhostWinnerCannotStealTheCs) {
   ghost.mutable_state().request = RequestState::In;  // ghost "request"
   ghost.mutable_state().privileges = {true, true};
   sim->set_scheduler(std::make_unique<sim::RandomScheduler>(14));
-  ASSERT_TRUE(request_cs(*sim, 1));
-  ASSERT_EQ(sim->run(2'000'000,
-                     [](Simulator& s) { return request_served(s, 1); }),
-            Simulator::StopReason::Predicate);
+  ASSERT_EQ(serve(*sim, 1, svc::CriticalSection{}, 2'000'000),
+            svc::AwaitResult::Done);
   const auto report = check_me_spec(*sim);
   EXPECT_TRUE(report.ok()) << report.summary();
 }
@@ -150,10 +147,8 @@ TEST(Me, GhostInsideCsDelaysButDoesNotBreakExclusion) {
   auto& ghost = me_of(*sim, 1);
   ghost.mutable_state().cs_remaining = 5;  // mid-CS at time 0
   sim->set_scheduler(std::make_unique<sim::RandomScheduler>(16));
-  ASSERT_TRUE(request_cs(*sim, 0));
-  ASSERT_EQ(sim->run(2'000'000,
-                     [](Simulator& s) { return request_served(s, 0); }),
-            Simulator::StopReason::Predicate);
+  ASSERT_EQ(serve(*sim, 0, svc::CriticalSection{}, 2'000'000),
+            svc::AwaitResult::Done);
   const auto report = check_me_spec(*sim);
   EXPECT_TRUE(report.ok()) << report.summary();
 }
@@ -163,7 +158,8 @@ TEST(Me, ServesRepeatedRequestsFairly) {
   auto sim = me_world({3, 1, 2}, 17);
   sim->set_scheduler(std::make_unique<sim::RandomScheduler>(18));
   std::vector<int> grants(3, 0);
-  for (int p = 0; p < 3; ++p) request_cs(*sim, p);
+  svc::Client client(*sim);
+  for (int p = 0; p < 3; ++p) client.submit(p, svc::CriticalSection{});
   for (int iteration = 0; iteration < 40; ++iteration) {
     sim->run(300'000, [](Simulator& s) {
       for (int p = 0; p < 3; ++p)
@@ -173,7 +169,7 @@ TEST(Me, ServesRepeatedRequestsFairly) {
     for (int p = 0; p < 3; ++p) {
       if (request_served(*sim, p)) {
         ++grants[static_cast<std::size_t>(p)];
-        request_cs(*sim, p);  // immediately request again
+        client.submit(p, svc::CriticalSection{});  // request again at once
       }
     }
   }
@@ -213,10 +209,8 @@ TEST(Me, PaperFaithfulIncrementDeadlocks) {
   auto sim = me_world({10, 20, 30}, 19, faithful);
   me_of(*sim, 0).mutable_state().value = 3;  // n = 3: the poison value
   sim->set_scheduler(std::make_unique<sim::RandomScheduler>(20));
-  ASSERT_TRUE(request_cs(*sim, 1));
-  EXPECT_EQ(sim->run(400'000,
-                     [](Simulator& s) { return request_served(s, 1); }),
-            Simulator::StopReason::BudgetExhausted);
+  EXPECT_EQ(serve(*sim, 1, svc::CriticalSection{}, 400'000),
+            svc::AwaitResult::BudgetExhausted);
   EXPECT_EQ(me_of(*sim, 0).value(), 3);  // frozen forever
 }
 
@@ -228,10 +222,8 @@ TEST(Me, ModNFixSurvivesTheSamePoisonValue) {
   auto sim = me_world({10, 20, 30}, 21);
   me_of(*sim, 0).mutable_state().value = 2;  // last in-domain value
   sim->set_scheduler(std::make_unique<sim::RandomScheduler>(22));
-  ASSERT_TRUE(request_cs(*sim, 1));
-  EXPECT_EQ(sim->run(2'000'000,
-                     [](Simulator& s) { return request_served(s, 1); }),
-            Simulator::StopReason::Predicate);
+  EXPECT_EQ(serve(*sim, 1, svc::CriticalSection{}, 2'000'000),
+            svc::AwaitResult::Done);
 }
 
 TEST(Me, CsBodyRunsExactlyOncePerGrant) {
@@ -240,10 +232,8 @@ TEST(Me, CsBodyRunsExactlyOncePerGrant) {
   opts.me.cs_body = [&executions] { ++executions; };
   auto sim = me_world({10, 20}, 23, opts);
   sim->set_scheduler(std::make_unique<sim::RandomScheduler>(24));
-  ASSERT_TRUE(request_cs(*sim, 1));
-  ASSERT_EQ(sim->run(2'000'000,
-                     [](Simulator& s) { return request_served(s, 1); }),
-            Simulator::StopReason::Predicate);
+  ASSERT_EQ(serve(*sim, 1, svc::CriticalSection{}, 2'000'000),
+            svc::AwaitResult::Done);
   // cs_body runs for the requested CS of p1; p0's (10) non-requesting wins
   // skip the CS entirely, so only ghost CS could add counts — none here
   // (clean start).
@@ -281,30 +271,14 @@ TEST_P(MeProperty, Specification3FromArbitraryConfigurations) {
   sim->set_scheduler(std::make_unique<sim::RandomScheduler>(
       seed + 1, sim::LossOptions{.rate = loss, .max_consecutive = 5}));
 
-  // Ghost computations may hold requests hostage initially; requests are
-  // accepted only when Request = Done, so poke until accepted.
-  std::vector<bool> requested(static_cast<std::size_t>(n), false);
+  // A ghost computation may hold a process's ME layer initially; its
+  // session then waits in the queue until the ghost drains.
+  svc::Client client(*sim);
+  std::vector<svc::Session> sessions;
   for (int p = 0; p < n; ++p)
-    requested[static_cast<std::size_t>(p)] = request_cs(*sim, p);
-
-  const auto reason = sim->run(6'000'000, [&](Simulator& s) {
-    bool all_served = true;
-    for (int p = 0; p < n; ++p) {
-      auto& me = s.process_as<MeStackProcess>(p).me();
-      auto ri = static_cast<std::size_t>(p);
-      if (!requested[ri]) {
-        // The fuzzed ghost computation has drained; submit the real
-        // request now.
-        if (me.request_state() == RequestState::Done)
-          requested[ri] = request_cs(s, p);
-        all_served = false;
-        continue;
-      }
-      if (me.request_state() != RequestState::Done) all_served = false;
-    }
-    return all_served;
-  });
-  ASSERT_EQ(reason, Simulator::StopReason::Predicate);
+    sessions.push_back(client.submit(p, svc::CriticalSection{}));
+  ASSERT_EQ(client.await_all(sessions, {.max_steps = 6'000'000}),
+            svc::AwaitResult::Done);
 
   const auto report = check_me_spec(*sim);
   EXPECT_TRUE(report.ok()) << report.summary();

@@ -15,6 +15,8 @@
 #include "core/stack.hpp"
 #include "sim/fuzz.hpp"
 #include "sim/simulator.hpp"
+#include "svc/client.hpp"
+#include "test_util.hpp"
 
 namespace snapstab::core {
 namespace {
@@ -49,7 +51,7 @@ TEST(Pif, StartsOnRequest) {
   // Lemma 1: when Request = Wait, the starting action eventually executes.
   auto sim = pif_world(2, 1);
   sim->set_scheduler(std::make_unique<sim::RandomScheduler>(2));
-  request_pif(*sim, 0, Value::text("m"));
+  svc::Client(*sim).submit(0, svc::PifBroadcast{Value::text("m")});
   EXPECT_EQ(sim->process_as<PifProcess>(0).pif().request_state(),
             RequestState::Wait);
   sim->run(50, [](Simulator& s) {
@@ -95,7 +97,7 @@ TEST(Pif, StateAdvancesWhileInProgress) {
   auto sim = pif_world(2, 3);
   sim->set_scheduler(std::make_unique<sim::RandomScheduler>(
       3, sim::LossOptions{.rate = 0.4, .max_consecutive = 4}));
-  request_pif(*sim, 0, Value::text("m"));
+  svc::Client(*sim).submit(0, svc::PifBroadcast{Value::text("m")});
   // Wait for the start action (the flags reset to 0 there).
   ASSERT_EQ(sim->run(50'000,
                      [](Simulator& s) {
@@ -117,10 +119,9 @@ TEST(Pif, SpecHoldsFromCleanState) {
   for (int n : {2, 3, 5}) {
     auto sim = pif_world(n, static_cast<std::uint64_t>(n) * 7);
     sim->set_scheduler(std::make_unique<sim::RandomScheduler>(4));
-    request_pif(*sim, 0, Value::text("clean"));
-    const auto reason = sim->run(
-        400'000, [](Simulator& s) { return pif_done(s, 0); });
-    ASSERT_EQ(reason, Simulator::StopReason::Predicate) << "n=" << n;
+    ASSERT_EQ(serve(*sim, 0, svc::PifBroadcast{Value::text("clean")}, 400'000),
+              svc::AwaitResult::Done)
+        << "n=" << n;
     const auto report = check_pif_spec(*sim);
     EXPECT_TRUE(report.ok()) << "n=" << n << ": " << report.summary();
   }
@@ -134,18 +135,16 @@ TEST(Pif, SpecHoldsFromCorruptedState) {
     Rng rng(seed * 1009);
     sim::fuzz(*sim, rng);
     sim->set_scheduler(std::make_unique<sim::RandomScheduler>(seed + 1));
-    request_pif(*sim, 0, Value::text("post-fault"));
-    const auto reason =
-        sim->run(400'000, [](Simulator& s) { return pif_done(s, 0); });
-    ASSERT_EQ(reason, Simulator::StopReason::Predicate) << "seed=" << seed;
-    // Only check the started computation at p0: ghost computations at other
-    // processes may decide without correctness obligations — restrict the
-    // start check to p0 by filtering events? check_pif_spec checks every
-    // Start; ghost processes can emit Start only if their fuzzed request was
-    // Wait, and such a start must ALSO satisfy the spec (the paper makes no
-    // distinction: every started computation is correct).
-    const auto report = check_pif_spec(
-        *sim, {.require_termination = false, .require_start = false});
+    ASSERT_EQ(serve(*sim, 0, svc::PifBroadcast{Value::text("post-fault")},
+                    400'000),
+              svc::AwaitResult::Done)
+        << "seed=" << seed;
+    // check_pif_spec checks every Start, including those of ghost
+    // computations whose fuzzed request was Wait: such a start must ALSO
+    // satisfy the spec (the paper makes no distinction: every started
+    // computation is correct). require_start checks Lemma 1 from an
+    // arbitrary state: the requested computation did start.
+    const auto report = check_pif_spec(*sim, {.require_termination = false});
     EXPECT_TRUE(report.ok()) << "seed=" << seed << ": " << report.summary();
   }
 }
@@ -155,9 +154,8 @@ TEST(Pif, ExactlyOneFeedbackPerNeighbor) {
   // exactly one receive-fck per neighbor, and the decision follows them.
   auto sim = pif_world(4, 99);
   sim->set_scheduler(std::make_unique<sim::RandomScheduler>(5));
-  request_pif(*sim, 2, Value::integer(1234));
-  ASSERT_EQ(sim->run(400'000, [](Simulator& s) { return pif_done(s, 2); }),
-            Simulator::StopReason::Predicate);
+  ASSERT_EQ(serve(*sim, 2, svc::PifBroadcast{Value::integer(1234)}, 400'000),
+            svc::AwaitResult::Done);
   int fck = 0;
   std::uint64_t decide_step = 0;
   for (const auto& e : sim->log().events()) {
@@ -197,7 +195,7 @@ TEST(Pif, QuiescesAfterRequestsStop) {
   Rng rng(555);
   sim::fuzz(*sim, rng);
   sim->set_scheduler(std::make_unique<sim::RandomScheduler>(6));
-  request_pif(*sim, 0, Value::text("final"));
+  svc::Client(*sim).submit(0, svc::PifBroadcast{Value::text("final")});
   const auto reason = sim->run(500'000);
   EXPECT_EQ(reason, Simulator::StopReason::Quiescent);
   EXPECT_EQ(sim->network().total_messages_in_flight(), 0u);
@@ -214,9 +212,8 @@ TEST(Pif, Property1FlushesInitiatorChannels) {
   net.channel(2, 0).push(Message::pif(marker, marker, 0, 0));
   net.channel(0, 2).push(Message::pif(marker, marker, 3, 1));
   sim->set_scheduler(std::make_unique<sim::RandomScheduler>(8));
-  request_pif(*sim, 0, Value::text("flush"));
-  ASSERT_EQ(sim->run(400'000, [](Simulator& s) { return pif_done(s, 0); }),
-            Simulator::StopReason::Predicate);
+  ASSERT_EQ(serve(*sim, 0, svc::PifBroadcast{Value::text("flush")}, 400'000),
+            svc::AwaitResult::Done);
   for (int other : {1, 2}) {
     for (const auto& m : net.channel(other, 0).contents())
       EXPECT_NE(m.b, marker) << "stale message still inbound from p" << other;
@@ -242,7 +239,7 @@ TEST(Pif, Figure1WorstCaseWalkthrough) {
       Message::pif(Value::text("stale"), Value::text("stale"), 2, 1));
   q.mutable_state().neig_state[0] = 1;
 
-  request_pif(*sim, 0, Value::text("m"));
+  svc::Client(*sim).submit(0, svc::PifBroadcast{Value::text("m")});
   q.request(Value::text("mq"));  // q starts concurrently (Figure 1)
 
   // p starts: A1 resets State to 0; A2's send dies on the full channel p->q.
@@ -312,10 +309,9 @@ TEST(Pif, StaleDataNeverFakesABroadcast) {
             qneig;
         sim->set_scheduler(std::make_unique<sim::RandomScheduler>(
             static_cast<std::uint64_t>(s1 * 25 + ns1 * 5 + qneig)));
-        request_pif(*sim, 0, Value::text("real"));
         ASSERT_EQ(
-            sim->run(200'000, [](Simulator& s) { return pif_done(s, 0); }),
-            Simulator::StopReason::Predicate);
+            serve(*sim, 0, svc::PifBroadcast{Value::text("real")}, 200'000),
+            svc::AwaitResult::Done);
         const auto report = check_pif_spec(
             *sim, {.require_termination = false, .require_start = false});
         EXPECT_TRUE(report.ok()) << "s1=" << s1 << " ns1=" << ns1
@@ -331,9 +327,8 @@ TEST(Pif, RerequestRestartsCleanly) {
   auto sim = pif_world(3, 11);
   sim->set_scheduler(std::make_unique<sim::RandomScheduler>(12));
   for (int round = 0; round < 5; ++round) {
-    request_pif(*sim, 0, Value::integer(round));
-    ASSERT_EQ(sim->run(400'000, [](Simulator& s) { return pif_done(s, 0); }),
-              Simulator::StopReason::Predicate)
+    ASSERT_EQ(serve(*sim, 0, svc::PifBroadcast{Value::integer(round)}, 400'000),
+              svc::AwaitResult::Done)
         << "round " << round;
   }
   const auto report = check_pif_spec(*sim);
@@ -347,10 +342,13 @@ TEST(Pif, RerequestRestartsCleanly) {
 
 TEST(Pif, InterruptedComputationRestarts) {
   // The ME layer may re-request while a computation is In (after an EXIT
-  // reset). The restarted computation must still satisfy the spec.
+  // reset). The restarted computation must still satisfy the spec. Sessions
+  // queue instead of restarting, so the test sets Request directly, as ME
+  // does.
   auto sim = pif_world(2, 13);
+  auto& pif = sim->process_as<PifProcess>(0).pif();
   sim->set_scheduler(std::make_unique<sim::RandomScheduler>(14));
-  request_pif(*sim, 0, Value::text("first"));
+  pif.request(Value::text("first"));
   // Run until the handshake is mid-flight (flag 1 reached, not finished).
   ASSERT_EQ(sim->run(50'000,
                      [](Simulator& s) {
@@ -359,7 +357,7 @@ TEST(Pif, InterruptedComputationRestarts) {
                      }),
             Simulator::StopReason::Predicate);
   ASSERT_FALSE(pif_done(*sim, 0));
-  request_pif(*sim, 0, Value::text("second"));  // interrupt + restart
+  pif.request(Value::text("second"));  // interrupt + restart
   ASSERT_EQ(sim->run(200'000, [](Simulator& s) { return pif_done(s, 0); }),
             Simulator::StopReason::Predicate);
   // The first computation was abandoned mid-flight (no decision of its own),

@@ -12,6 +12,7 @@
 #include "core/stack.hpp"
 #include "sim/fuzz.hpp"
 #include "sim/simulator.hpp"
+#include "svc/client.hpp"
 
 namespace snapstab::core {
 namespace {
@@ -38,9 +39,17 @@ TEST_P(PifProperty, StartedComputationSatisfiesSpecification1) {
 
   // Several initiators, overlapping computations: the protocol must cope
   // with concurrent PIFs (every process can be an initiator).
-  request_pif(sim, 0, Value::text("alpha"));
-  if (n > 2) request_pif(sim, n - 1, Value::text("omega"));
-
+  svc::Client client(sim);
+  std::vector<svc::Session> sessions = {
+      client.submit(0, svc::PifBroadcast{Value::text("alpha")})};
+  if (n > 2)
+    sessions.push_back(
+        client.submit(n - 1, svc::PifBroadcast{Value::text("omega")}));
+  // The requested computations first (from a corrupted state each may wait
+  // behind a ghost), then every ghost computation, so Termination can be
+  // checked for all of them.
+  ASSERT_EQ(client.await_all(sessions, {.max_steps = 800'000}),
+            svc::AwaitResult::Done);
   const auto reason = sim.run(800'000, [n](Simulator& s) {
     for (int p = 0; p < n; ++p)
       if (!s.process_as<PifProcess>(p).pif().done()) return false;
@@ -79,15 +88,15 @@ TEST_P(PifAllInitiators, ConcurrentComputationsAllComplete) {
     sim.add_process(std::make_unique<PifProcess>(n - 1, 1));
   sim.set_scheduler(std::make_unique<sim::RandomScheduler>(42));
 
+  svc::Client client(sim);
   for (int round = 0; round < 3; ++round) {
+    std::vector<svc::Session> sessions;
     for (int p = 0; p < n; ++p)
-      request_pif(sim, p, Value::integer(round * 100 + p));
-    const auto reason = sim.run(2'000'000, [n](Simulator& s) {
-      for (int p = 0; p < n; ++p)
-        if (!s.process_as<PifProcess>(p).pif().done()) return false;
-      return true;
-    });
-    ASSERT_EQ(reason, Simulator::StopReason::Predicate) << "round " << round;
+      sessions.push_back(client.submit(
+          p, svc::PifBroadcast{Value::integer(round * 100 + p)}));
+    ASSERT_EQ(client.await_all(sessions, {.max_steps = 2'000'000}),
+              svc::AwaitResult::Done)
+        << "round " << round;
   }
   const auto report = check_pif_spec(sim);
   EXPECT_TRUE(report.ok()) << report.summary();

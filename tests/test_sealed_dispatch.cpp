@@ -11,8 +11,8 @@
 
 #include <memory>
 
-#include "common/fenwick.hpp"
 #include "common/rankset.hpp"
+#include "fenwick.hpp"
 #include "golden_scenarios.hpp"
 
 namespace snapstab {

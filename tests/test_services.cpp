@@ -8,6 +8,8 @@
 #include "core/stack.hpp"
 #include "sim/fuzz.hpp"
 #include "sim/simulator.hpp"
+#include "svc/client.hpp"
+#include "test_util.hpp"
 
 namespace snapstab::core {
 namespace {
@@ -24,12 +26,7 @@ TEST(Reset, RunsTheHookEverywhereExactlyOnce) {
         n - 1, 1, [counter](sim::Context&) { ++*counter; }));
   }
   sim.set_scheduler(std::make_unique<sim::RandomScheduler>(2));
-  request_reset(sim, 0);
-  ASSERT_EQ(sim.run(400'000,
-                    [](Simulator& s) {
-                      return s.process_as<ResetProcess>(0).reset().done();
-                    }),
-            Simulator::StopReason::Predicate);
+  ASSERT_EQ(serve(sim, 0, svc::Reset{}, 400'000), svc::AwaitResult::Done);
   for (int i = 0; i < n; ++i)
     EXPECT_EQ(hook_runs[static_cast<std::size_t>(i)], 1) << "p" << i;
 }
@@ -44,12 +41,7 @@ TEST(Reset, FlushesInitiatorChannels) {
   sim.network().channel(1, 0).push(Message::pif(marker, marker, 1, 2));
   sim.network().channel(0, 2).push(Message::pif(marker, marker, 0, 3));
   sim.set_scheduler(std::make_unique<sim::RandomScheduler>(4));
-  request_reset(sim, 0);
-  ASSERT_EQ(sim.run(400'000,
-                    [](Simulator& s) {
-                      return s.process_as<ResetProcess>(0).reset().done();
-                    }),
-            Simulator::StopReason::Predicate);
+  ASSERT_EQ(serve(sim, 0, svc::Reset{}, 400'000), svc::AwaitResult::Done);
   for (int other : {1, 2}) {
     for (const auto& m : sim.network().channel(other, 0).contents())
       EXPECT_NE(m.b, marker);
@@ -70,12 +62,7 @@ TEST(Reset, WorksFromFuzzedConfigurations) {
     Rng rng(seed * 99);
     sim::fuzz(sim, rng);
     sim.set_scheduler(std::make_unique<sim::RandomScheduler>(seed));
-    request_reset(sim, 1);
-    ASSERT_EQ(sim.run(400'000,
-                      [](Simulator& s) {
-                        return s.process_as<ResetProcess>(1).reset().done();
-                      }),
-              Simulator::StopReason::Predicate)
+    ASSERT_EQ(serve(sim, 1, svc::Reset{}, 400'000), svc::AwaitResult::Done)
         << "seed=" << seed;
     for (int i = 0; i < 3; ++i)
       EXPECT_GE(hook_runs[static_cast<std::size_t>(i)], 1)
@@ -109,13 +96,7 @@ TEST(Snapshot, CollectsEveryLocalState) {
         n - 1, 1, [cell] { return Value::integer(*cell); }));
   }
   sim.set_scheduler(std::make_unique<sim::RandomScheduler>(42));
-  request_snapshot(sim, 0);
-  ASSERT_EQ(sim.run(400'000,
-                    [](Simulator& s) {
-                      return s.process_as<SnapshotProcess>(0).snapshot()
-                          .done();
-                    }),
-            Simulator::StopReason::Predicate);
+  ASSERT_EQ(serve(sim, 0, svc::Snapshot{}, 400'000), svc::AwaitResult::Done);
   const auto& snap = sim.process_as<SnapshotProcess>(0).snapshot();
   EXPECT_EQ(snap.own_state(), Value::integer(100));
   // Channel k of process 0 is process k+1.
@@ -135,13 +116,7 @@ TEST(Snapshot, StateReadAfterQueryArrival) {
     return Value::integer(state++);  // changes at every read
   }));
   sim.set_scheduler(std::make_unique<sim::RandomScheduler>(44));
-  request_snapshot(sim, 0);
-  ASSERT_EQ(sim.run(200'000,
-                    [](Simulator& s) {
-                      return s.process_as<SnapshotProcess>(0).snapshot()
-                          .done();
-                    }),
-            Simulator::StopReason::Predicate);
+  ASSERT_EQ(serve(sim, 0, svc::Snapshot{}, 200'000), svc::AwaitResult::Done);
   // Exactly one genuine read happened at the peer for this computation.
   EXPECT_EQ(sim.process_as<SnapshotProcess>(0).snapshot().collected()[0],
             Value::integer(7));
@@ -157,13 +132,7 @@ TEST(Snapshot, WorksFromFuzzedConfigurations) {
     Rng rng(seed * 101);
     sim::fuzz(sim, rng);
     sim.set_scheduler(std::make_unique<sim::RandomScheduler>(seed));
-    request_snapshot(sim, 2);
-    ASSERT_EQ(sim.run(400'000,
-                      [](Simulator& s) {
-                        return s.process_as<SnapshotProcess>(2).snapshot()
-                            .done();
-                      }),
-              Simulator::StopReason::Predicate)
+    ASSERT_EQ(serve(sim, 2, svc::Snapshot{}, 400'000), svc::AwaitResult::Done)
         << "seed=" << seed;
     const auto& snap = sim.process_as<SnapshotProcess>(2).snapshot();
     // peer_of(2, 0) = 0, peer_of(2, 1) = 1 for n = 3.
@@ -171,6 +140,15 @@ TEST(Snapshot, WorksFromFuzzedConfigurations) {
     EXPECT_EQ(snap.collected()[1], Value::integer(1001)) << "seed=" << seed;
     EXPECT_EQ(snap.own_state(), Value::integer(1002)) << "seed=" << seed;
   }
+}
+
+// Submits an election at every process and runs until all of them complete.
+svc::AwaitResult elect_all(Simulator& sim, std::uint64_t max_steps) {
+  svc::Client client(sim);
+  std::vector<svc::Session> sessions;
+  for (int p = 0; p < sim.process_count(); ++p)
+    sessions.push_back(client.submit(p, svc::Election{}));
+  return client.await_all(sessions, {.max_steps = max_steps});
 }
 
 std::unique_ptr<Simulator> election_world(
@@ -187,16 +165,7 @@ TEST(Election, AllAgreeOnLeaderAndRanking) {
   const std::vector<std::int64_t> ids = {40, 10, 30, 20};
   auto sim = election_world(ids, 1);
   sim->set_scheduler(std::make_unique<sim::RandomScheduler>(2));
-  for (int p = 0; p < 4; ++p) request_election(*sim, p);
-  ASSERT_EQ(sim->run(800'000,
-                     [](Simulator& s) {
-                       for (int p = 0; p < 4; ++p)
-                         if (!s.process_as<ElectionProcess>(p).election()
-                                  .done())
-                           return false;
-                       return true;
-                     }),
-            Simulator::StopReason::Predicate);
+  ASSERT_EQ(elect_all(*sim, 800'000), svc::AwaitResult::Done);
 
   const std::vector<std::int64_t> sorted = {10, 20, 30, 40};
   std::set<int> ranks;
@@ -227,16 +196,7 @@ TEST_P(ElectionProperty, ConsistentFromArbitraryConfigurations) {
   Rng rng(seed ^ 0xE1EC);
   sim::fuzz(*sim, rng);
   sim->set_scheduler(std::make_unique<sim::RandomScheduler>(seed + 1));
-  for (int p = 0; p < n; ++p) request_election(*sim, p);
-  ASSERT_EQ(sim->run(2'000'000,
-                     [n](Simulator& s) {
-                       for (int p = 0; p < n; ++p)
-                         if (!s.process_as<ElectionProcess>(p).election()
-                                  .done())
-                           return false;
-                       return true;
-                     }),
-            Simulator::StopReason::Predicate);
+  ASSERT_EQ(elect_all(*sim, 2'000'000), svc::AwaitResult::Done);
 
   std::int64_t expected_leader = ids[0];
   for (const auto id : ids) expected_leader = std::min(expected_leader, id);

@@ -6,6 +6,8 @@
 #include "core/stack.hpp"
 #include "sim/fuzz.hpp"
 #include "sim/simulator.hpp"
+#include "svc/client.hpp"
+#include "test_util.hpp"
 
 namespace snapstab {
 namespace {
@@ -20,11 +22,8 @@ TEST(Smoke, PifCompletesFromCleanState) {
     sim.add_process(std::make_unique<PifProcess>(3, 1));
   sim.set_scheduler(std::make_unique<sim::RandomScheduler>(11));
 
-  core::request_pif(sim, 0, Value::text("hello"));
-  const auto reason = sim.run(200'000, [](Simulator& s) {
-    return s.process_as<PifProcess>(0).pif().done();
-  });
-  EXPECT_EQ(reason, Simulator::StopReason::Predicate);
+  EXPECT_EQ(serve(sim, 0, svc::PifBroadcast{Value::text("hello")}, 200'000),
+            svc::AwaitResult::Done);
 
   const auto report = core::check_pif_spec(sim);
   EXPECT_TRUE(report.ok()) << report.summary();
@@ -38,11 +37,9 @@ TEST(Smoke, PifCompletesFromFuzzedState) {
   sim::fuzz(sim, rng);
   sim.set_scheduler(std::make_unique<sim::RandomScheduler>(13));
 
-  core::request_pif(sim, 1, Value::text("after-fault"));
-  const auto reason = sim.run(200'000, [](Simulator& s) {
-    return s.process_as<PifProcess>(1).pif().done();
-  });
-  EXPECT_EQ(reason, Simulator::StopReason::Predicate);
+  EXPECT_EQ(
+      serve(sim, 1, svc::PifBroadcast{Value::text("after-fault")}, 200'000),
+      svc::AwaitResult::Done);
 }
 
 TEST(Smoke, MeServesARequest) {
@@ -51,12 +48,8 @@ TEST(Smoke, MeServesARequest) {
     sim.add_process(std::make_unique<MeStackProcess>(100 + i, 2));
   sim.set_scheduler(std::make_unique<sim::RandomScheduler>(17));
 
-  ASSERT_TRUE(core::request_cs(sim, 2));
-  const auto reason = sim.run(500'000, [](Simulator& s) {
-    return s.process_as<MeStackProcess>(2).me().request_state() ==
-           core::RequestState::Done;
-  });
-  EXPECT_EQ(reason, Simulator::StopReason::Predicate);
+  EXPECT_EQ(serve(sim, 2, svc::CriticalSection{}, 500'000),
+            svc::AwaitResult::Done);
 
   const auto report = core::check_me_spec(sim);
   EXPECT_TRUE(report.ok()) << report.summary();

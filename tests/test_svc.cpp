@@ -167,9 +167,9 @@ TEST(SvcSession, CriticalSectionSessionsQueueInsteadOfRefusing) {
   ASSERT_TRUE(client.run_until({g1, g2}));
   EXPECT_TRUE(client.result(g1).cs_granted);
   EXPECT_TRUE(client.result(g2).cs_granted);
-  // ...while the legacy shim still refuses a second request mid-service.
+  // ...while the layer itself still refuses a second request mid-service.
   const Session g3 = client.submit(1, CriticalSection{});
-  EXPECT_FALSE(core::request_cs(*sim, 1));
+  EXPECT_FALSE(sim->process_as<core::MeStackProcess>(1).me().request_cs());
   ASSERT_TRUE(client.run_until(g3));
 }
 
@@ -344,13 +344,13 @@ TEST(SvcBackends, IdenticalSessionTranscriptSimulatorVsThreadRuntime) {
 
 // ---------------------------------------------------------------------------
 // Sessions add no RNG draws: a session-driven world replays the exact
-// engine step sequence of a shim-driven one.
+// engine step sequence of one whose Request variable was set directly.
 // ---------------------------------------------------------------------------
 
-TEST(SvcDeterminism, SessionDriveMatchesShimDriveBitIdentically) {
-  const auto run_shim = [] {
+TEST(SvcDeterminism, SessionDriveMatchesRawRequestPoke) {
+  const auto run_raw = [] {
     auto sim = pif_host_world(4, 77);
-    core::request_pif(*sim, 0, Value::integer(7));
+    sim->process_as<core::PifProcess>(0).pif().request(Value::integer(7));
     sim->run(100'000, [](Simulator& s) {
       return s.process_as<core::PifProcess>(0).pif().done();
     });
@@ -363,14 +363,20 @@ TEST(SvcDeterminism, SessionDriveMatchesShimDriveBitIdentically) {
     EXPECT_TRUE(client.run_until(s));
     return sim;
   };
-  auto a = run_shim();
+  auto a = run_raw();
   auto b = run_session();
   EXPECT_EQ(a->metrics().steps, b->metrics().steps);
   EXPECT_EQ(a->metrics().sends, b->metrics().sends);
   EXPECT_EQ(a->metrics().deliveries, b->metrics().deliveries);
-  ASSERT_EQ(a->log().size(), b->log().size());
+  // The session's log is the raw run's log behind one RequestWait line.
+  ASSERT_EQ(b->log().size(), a->log().size() + 1);
+  const sim::Observation& request = b->log().events()[0];
+  EXPECT_EQ(request.kind, sim::ObsKind::RequestWait);
+  EXPECT_EQ(request.process, 0);
+  EXPECT_EQ(request.value, Value::integer(7));
   for (std::size_t i = 0; i < a->log().size(); ++i)
-    EXPECT_EQ(a->log().events()[i].to_string(), b->log().events()[i].to_string())
+    EXPECT_EQ(a->log().events()[i].to_string(),
+              b->log().events()[i + 1].to_string())
         << "event " << i;
 }
 

@@ -13,6 +13,8 @@
 #include "core/stack.hpp"
 #include "sim/fuzz.hpp"
 #include "sim/simulator.hpp"
+#include "svc/client.hpp"
+#include "test_util.hpp"
 
 namespace snapstab::core {
 namespace {
@@ -111,13 +113,8 @@ TEST(TermDetect, UnpackIsTotalOnGarbage) {
 TEST(TermDetect, IdleSystemClaimsInTwoWaves) {
   auto w = token_world(3, 1);
   w.sim->set_scheduler(std::make_unique<sim::RandomScheduler>(2));
-  request_termdetect(*w.sim, 0);
-  ASSERT_EQ(
-      w.sim->run(400'000,
-                 [](Simulator& s) {
-                   return s.process_as<TermDetectProcess>(0).detector().done();
-                 }),
-      Simulator::StopReason::Predicate);
+  ASSERT_EQ(serve(*w.sim, 0, svc::TermDetect{}, 400'000),
+            svc::AwaitResult::Done);
   const auto& detector = w.sim->process_as<TermDetectProcess>(0).detector();
   EXPECT_TRUE(detector.termination_claimed());
   EXPECT_EQ(detector.waves_used(), 2);
@@ -136,11 +133,8 @@ TEST_P(TermDetectGame, NeverClaimsWhileTokensLiveAndClaimsAfter) {
         static_cast<int>(rng.below(12)));
 
   w.sim->set_scheduler(std::make_unique<sim::RandomScheduler>(seed + 1));
-  request_termdetect(*w.sim, 0);
-  const auto reason = w.sim->run(4'000'000, [](Simulator& s) {
-    return s.process_as<TermDetectProcess>(0).detector().done();
-  });
-  ASSERT_EQ(reason, Simulator::StopReason::Predicate);
+  ASSERT_EQ(serve(*w.sim, 0, svc::TermDetect{}, 4'000'000),
+            svc::AwaitResult::Done);
 
   const auto& detector = w.sim->process_as<TermDetectProcess>(0).detector();
   EXPECT_TRUE(detector.termination_claimed());
@@ -178,13 +172,8 @@ TEST(TermDetect, NonTerminatingApplicationNeverClaims) {
   idle.counters = [] { return AppCounters{true, 0, 0}; };
   sim.add_process(std::make_unique<TermDetectProcess>(n - 1, 1, idle));
   sim.set_scheduler(std::make_unique<sim::RandomScheduler>(22));
-  request_termdetect(sim, 0);
-  EXPECT_EQ(sim.run(200'000,
-                    [](Simulator& s) {
-                      return s.process_as<TermDetectProcess>(0).detector()
-                          .done();
-                    }),
-            Simulator::StopReason::BudgetExhausted);
+  EXPECT_EQ(serve(sim, 0, svc::TermDetect{}, 200'000),
+            svc::AwaitResult::BudgetExhausted);
   EXPECT_FALSE(
       sim.process_as<TermDetectProcess>(0).detector().termination_claimed());
   EXPECT_GT(sim.process_as<TermDetectProcess>(0).detector().waves_used(), 2);
@@ -214,11 +203,9 @@ TEST(TermDetect, SurvivesFuzzedProtocolState) {
       }
     w.apps[0]->held.push_back(4);  // one live token at the start
     w.sim->set_scheduler(std::make_unique<sim::RandomScheduler>(seed));
-    request_termdetect(*w.sim, 1);
-    const auto reason = w.sim->run(2'000'000, [](Simulator& s) {
-      return s.process_as<TermDetectProcess>(1).detector().done();
-    });
-    ASSERT_EQ(reason, Simulator::StopReason::Predicate) << "seed=" << seed;
+    ASSERT_EQ(serve(*w.sim, 1, svc::TermDetect{}, 2'000'000),
+              svc::AwaitResult::Done)
+        << "seed=" << seed;
     EXPECT_TRUE(w.sim->process_as<TermDetectProcess>(1)
                     .detector()
                     .termination_claimed());
@@ -229,20 +216,14 @@ TEST(TermDetect, SurvivesFuzzedProtocolState) {
 TEST(TermDetect, LoadedSystemUsesMoreWaves) {
   auto idle = token_world(3, 51);
   idle.sim->set_scheduler(std::make_unique<sim::RandomScheduler>(52));
-  request_termdetect(*idle.sim, 0);
-  idle.sim->run(400'000, [](Simulator& s) {
-    return s.process_as<TermDetectProcess>(0).detector().done();
-  });
+  serve(*idle.sim, 0, svc::TermDetect{}, 400'000);
   const int idle_waves =
       idle.sim->process_as<TermDetectProcess>(0).detector().waves_used();
 
   auto busy = token_world(3, 51);
   for (int t = 0; t < 6; ++t) busy.apps[0]->held.push_back(20);
   busy.sim->set_scheduler(std::make_unique<sim::RandomScheduler>(52));
-  request_termdetect(*busy.sim, 0);
-  busy.sim->run(4'000'000, [](Simulator& s) {
-    return s.process_as<TermDetectProcess>(0).detector().done();
-  });
+  serve(*busy.sim, 0, svc::TermDetect{}, 4'000'000);
   const int busy_waves =
       busy.sim->process_as<TermDetectProcess>(0).detector().waves_used();
   EXPECT_GT(busy_waves, idle_waves);

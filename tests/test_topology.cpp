@@ -4,8 +4,8 @@
 #include <memory>
 #include <set>
 
-#include "common/fenwick.hpp"
 #include "core/stack.hpp"
+#include "fenwick.hpp"
 #include "sim/simulator.hpp"
 #include "sim/topology.hpp"
 

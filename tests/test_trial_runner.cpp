@@ -1,26 +1,38 @@
-// test_trial_runner.cpp — the parallel trial harness: every trial index runs
-// exactly once whatever the trials-to-threads ratio, and aggregates are
-// bit-identical for any worker count (the determinism contract the
-// experiment binaries' JSON output rests on).
+// test_trial_runner.cpp — the parallel trial harness of the experiment
+// binaries (load::parallel_shards + bench::trial_thread_count): every trial
+// index runs exactly once whatever the trials-to-threads ratio, and
+// aggregates are bit-identical for any worker count (the determinism
+// contract the experiment binaries' JSON output rests on).
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <string>
 
-#include "../bench/trial_runner.hpp"
-#include "core/specs.hpp"
-#include "core/stack.hpp"
-#include "sim/fuzz.hpp"
-#include "sim/simulator.hpp"
+#include "../bench/exp_common.hpp"
+#include "load/shard.hpp"
 
 namespace snapstab::bench {
 namespace {
+
+using load::parallel_shards;
+
+TEST(TrialRunner, ThreadCountHonoursTheFlagAndClampsToTrials) {
+  const char* pinned[] = {"exp", "--threads", "3"};
+  const CliArgs three(3, pinned, {"threads"});
+  EXPECT_EQ(trial_thread_count(three, 10), 3);
+  EXPECT_EQ(trial_thread_count(three, 2), 2);  // never more than one a trial
+  EXPECT_EQ(trial_thread_count(three, 0), 1);  // and never fewer than one
+  const char* bare[] = {"exp"};
+  const CliArgs automatic(1, bare, {"threads"});
+  EXPECT_GE(trial_thread_count(automatic, 1000), 1);
+  EXPECT_EQ(trial_thread_count(automatic, 1), 1);
+}
 
 TEST(TrialRunner, EveryIndexRunsExactlyOnceWhenTrialsDontDivide) {
   // 7 trials on 3 threads: the uneven tail must be neither skipped nor
   // double-counted.
   std::atomic<int> calls{0};
-  const auto results = run_trials(7, 3, [&](int t) {
+  const auto results = parallel_shards(7, 3, [&](int t) {
     calls.fetch_add(1);
     return t * 10;
   });
@@ -31,11 +43,11 @@ TEST(TrialRunner, EveryIndexRunsExactlyOnceWhenTrialsDontDivide) {
 }
 
 TEST(TrialRunner, MoreThreadsThanTrialsAndZeroTrialsAreSafe) {
-  const auto results = run_trials(2, 8, [](int t) { return t + 1; });
+  const auto results = parallel_shards(2, 8, [](int t) { return t + 1; });
   ASSERT_EQ(results.size(), 2u);
   EXPECT_EQ(results[0], 1);
   EXPECT_EQ(results[1], 2);
-  EXPECT_TRUE(run_trials(0, 4, [](int t) { return t; }).empty());
+  EXPECT_TRUE(parallel_shards(0, 4, [](int t) { return t; }).empty());
 }
 
 // A miniature experiment cell: fuzz + run + check per seed, returning the
@@ -56,11 +68,7 @@ TrialOutcome run_one_trial(int t) {
   Rng rng(seed * 3);
   sim::fuzz(world, rng);
   world.set_scheduler(std::make_unique<sim::RandomScheduler>(seed));
-  core::request_pif(world, 0, Value::integer(t));
-  const auto reason = world.run(500'000, [](sim::Simulator& s) {
-    return s.process_as<core::PifProcess>(0).pif().done();
-  });
-  out.completed = reason == sim::Simulator::StopReason::Predicate;
+  out.completed = broadcast(world, 0, Value::integer(t), 500'000);
   out.steps = world.step_count();
   out.sends = world.metrics().sends;
   const auto report = core::check_pif_spec(
@@ -70,7 +78,7 @@ TrialOutcome run_one_trial(int t) {
 }
 
 std::string aggregate_json(int threads) {
-  const auto outcomes = run_trials(7, threads, run_one_trial);
+  const auto outcomes = parallel_shards(7, threads, run_one_trial);
   // Fold in trial order, exactly like the exp_* binaries do.
   std::uint64_t steps = 0;
   std::uint64_t sends = 0;

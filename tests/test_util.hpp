@@ -2,10 +2,13 @@
 #ifndef SNAPSTAB_TESTS_TEST_UTIL_HPP
 #define SNAPSTAB_TESTS_TEST_UTIL_HPP
 
+#include <cstdint>
 #include <functional>
 #include <vector>
 
 #include "sim/process.hpp"
+#include "sim/simulator.hpp"
+#include "svc/client.hpp"
 
 namespace snapstab::sim {
 
@@ -36,5 +39,22 @@ class ProbeProcess final : public Process {
 };
 
 }  // namespace snapstab::sim
+
+namespace snapstab {
+
+// Submits descriptor `d` at process `p` and runs `sim` until that session
+// completes or `max_steps` run out. From a corrupted state the session first
+// waits for the ghost computation to drain; only the session, not the
+// layer's done(), says that the requested computation ran. A session
+// completes in the activation that decides it, so the run stops right at
+// the decision step.
+template <typename D>
+svc::AwaitResult serve(sim::Simulator& sim, sim::ProcessId p, const D& d,
+                       std::uint64_t max_steps) {
+  svc::Client client(sim);
+  return client.await_all({client.submit(p, d)}, {.max_steps = max_steps});
+}
+
+}  // namespace snapstab
 
 #endif  // SNAPSTAB_TESTS_TEST_UTIL_HPP
