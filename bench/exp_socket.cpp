@@ -66,6 +66,7 @@ struct Cell {
   std::uint64_t datagrams = 0;
   std::uint64_t loss_drops = 0;
   std::uint64_t inbox_overflow = 0;
+  std::uint64_t coalesced_sends = 0;
   std::uint64_t seed = 0;
 };
 
@@ -107,6 +108,7 @@ Cell run_cell(int n, double loss, int rounds, std::uint64_t seed) {
   cell.datagrams = stats.datagrams_sent;
   cell.loss_drops = stats.loss_drops;
   cell.inbox_overflow = stats.inbox_overflow;
+  cell.coalesced_sends = stats.coalesced_sends;
   return cell;
 }
 
@@ -182,7 +184,7 @@ int main(int argc, char** argv) {
 
   TextTable t({"n", "loss", "sessions", "completed", "sess/s",
                "slowest round (ms)", "datagrams", "loss drops",
-               "inbox overflow"});
+               "inbox overflow", "coalesced sends"});
   bool all_recovered = true;
   bool lossy_cell_seen = false;
   for (const Cell& c : cells) {
@@ -204,7 +206,8 @@ int main(int argc, char** argv) {
                TextTable::cell(c.round_max_ms, 1),
                TextTable::cell(static_cast<std::int64_t>(c.datagrams)),
                TextTable::cell(static_cast<std::int64_t>(c.loss_drops)),
-               TextTable::cell(static_cast<std::int64_t>(c.inbox_overflow))});
+               TextTable::cell(static_cast<std::int64_t>(c.inbox_overflow)),
+               TextTable::cell(static_cast<std::int64_t>(c.coalesced_sends))});
   }
   t.print();
 
@@ -240,19 +243,20 @@ int main(int argc, char** argv) {
   for (std::size_t i = 0; i < cells.size(); ++i) {
     const Cell& c = cells[i];
     if (i != 0) cell_json += ",";
-    char buf[256];
+    char buf[320];
     std::snprintf(buf, sizeof buf,
                   "{\"n\":%d,\"loss\":%.2f,\"sessions\":%d,"
                   "\"completed\":%d,\"sessions_per_s\":%.1f,"
                   "\"round_max_ms\":%.1f,\"datagrams\":%llu,"
                   "\"loss_drops\":%llu,\"inbox_overflow\":%llu,"
-                  "\"seed\":%llu}",
+                  "\"coalesced_sends\":%llu,\"seed\":%llu}",
                   c.n, c.loss, c.sessions, c.completed,
                   c.wall_ms > 0.0 ? 1000.0 * c.sessions / c.wall_ms : 0.0,
                   c.round_max_ms,
                   static_cast<unsigned long long>(c.datagrams),
                   static_cast<unsigned long long>(c.loss_drops),
                   static_cast<unsigned long long>(c.inbox_overflow),
+                  static_cast<unsigned long long>(c.coalesced_sends),
                   static_cast<unsigned long long>(c.seed));
     cell_json += buf;
   }

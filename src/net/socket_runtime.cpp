@@ -241,6 +241,7 @@ SocketRuntime::WireStats SocketRuntime::wire_stats() const {
   out.filter_drops = f.filter_drops;
   out.filter_duplicates = f.filter_duplicates;
   out.down_drops = f.down_drops;
+  out.coalesced_sends = f.coalesced_sends;
   return out;
 }
 

@@ -92,6 +92,7 @@ class SocketRuntime final : public runtime::HostRuntime {
     std::uint64_t filter_drops = 0;   // fault-filter drop discards
     std::uint64_t filter_duplicates = 0;
     std::uint64_t down_drops = 0;     // fault-filter LinkDown discards
+    std::uint64_t coalesced_sends = 0;  // same-activation copies never sent
   };
   // Aggregated over every hosted node; safe to read concurrently.
   WireStats wire_stats() const;

@@ -11,14 +11,30 @@ namespace snapstab::runtime {
 // sim::Context's generic (one virtual hop) path.
 class HostRuntime::NodeContext final : public sim::ContextBackend {
  public:
-  NodeContext(HostRuntime& rt, Node& node) : rt_(rt), node_(node) {}
+  NodeContext(HostRuntime& rt, Node& node)
+      : rt_(rt),
+        node_(node),
+        last_sent_(static_cast<std::size_t>(rt.topology_.degree(node.id))) {}
+
+  // Called by node_main at the top of each activation.
+  void begin_activation() noexcept { ++activation_; }
 
   int degree() const override { return rt_.topology_.degree(node_.id); }
 
   bool send(int channel_index, const Message& m) override {
-    // Same local-index mapping as the simulator: the shared Topology.
-    return rt_.transport_->send(
-        rt_.topology_.out_edge(node_.id, channel_index), m);
+    // Same local-index mapping as the simulator: the shared Topology
+    // (which also bounds-checks the index).
+    const sim::EdgeId e = rt_.topology_.out_edge(node_.id, channel_index);
+    // A copy of the message this activation already handed to the
+    // transport on this edge is lost here, as a send into a full channel.
+    LastSent& last = last_sent_[static_cast<std::size_t>(channel_index)];
+    if (last.activation == activation_ && last.message == m) {
+      node_.counters.coalesced_sends.fetch_add(1, std::memory_order_relaxed);
+      return false;
+    }
+    last.activation = activation_;
+    last.message = m;
+    return rt_.transport_->send(e, m);
   }
 
   void observe(sim::Layer layer, sim::ObsKind kind, int peer,
@@ -33,8 +49,17 @@ class HostRuntime::NodeContext final : public sim::ContextBackend {
   }
 
  private:
+  // The last message handed to the transport on one out-edge, and the
+  // activation it went out in (0: none yet; activations count from 1).
+  struct LastSent {
+    Message message;
+    std::uint64_t activation = 0;
+  };
+
   HostRuntime& rt_;
   Node& node_;
+  std::vector<LastSent> last_sent_;  // one per out-channel
+  std::uint64_t activation_ = 0;
 };
 
 HostRuntime::HostRuntime(sim::Topology topology, std::uint64_t seed,
@@ -163,6 +188,7 @@ void HostRuntime::node_main(Node& node) {
   while (!stop_.load(std::memory_order_relaxed)) {
     {
       std::lock_guard<std::mutex> lock(node.mu);
+      backend.begin_activation();
       sim::Process& proc = *node.process;
       // At most one message per incident channel per activation; a busy
       // process (inside its critical section) receives nothing.
@@ -234,6 +260,7 @@ HostRuntime::FilterStats HostRuntime::filter_stats() const {
     out.filter_drops += c.filter_drops.load(relaxed);
     out.filter_duplicates += c.filter_duplicates.load(relaxed);
     out.down_drops += c.down_drops.load(relaxed);
+    out.coalesced_sends += c.coalesced_sends.load(relaxed);
   }
   return out;
 }

@@ -13,6 +13,12 @@
 //     node) and the activation loop: per activation a node receives at
 //     most one message per incident channel, unless busy in its critical
 //     section, then ticks, then pauses kActivationPause;
+//   * one send-side rule, coalescing: within one activation a node hands
+//     the transport at most one copy of a message per out-edge. A send
+//     equal to the last message that went out on the same edge in the same
+//     activation returns false, as a send into a full channel does, and is
+//     counted (FilterStats::coalesced_sends). A different message, or the
+//     same one in a later activation, always goes out;
 //   * one receive-side fault filter between the transport and
 //     Process::on_message: LinkDown, options' loss_rate, per-edge drop and
 //     duplicate. Its draws come from a per-node filter RNG, a separate
@@ -30,6 +36,20 @@
 // transport drains its socket into per-edge inboxes of one message, so what
 // a node receives is bounded by c at each drain, but UDP does not promise
 // FIFO; see the README's "Real-wire runtime" section.
+//
+// Why coalescing is a loss the model allows. The paper's channels are lossy
+// with capacity c, and to the receiver a copy its sender never emitted is
+// indistinguishable from one the channel lost. Within one activation PIF's
+// A3 echo and A2 retransmit can hand the identical message to the same
+// neighbour; the receiver takes at most one message per channel per
+// activation, so at c = 1 the second copy always died in the full inbox
+// anyway, after costing a codec pass (and on UDP a sendto, a recv and a
+// decode). Retransmission stays fair, since every later activation sends
+// again, and neither transport's channel model changes.
+//
+// Pacing. kActivationPause asks for 20 us, but with Linux's default 50 us
+// timer slack one sleep_for(20us) lasts about 75 us (74.9-75.2 us measured
+// on a 4-core Xeon), and that sleep sets one hop's latency.
 //
 // Concurrency discipline: a process's state is touched only under its node
 // mutex — by its own thread during an activation, or by with_process()
@@ -88,7 +108,7 @@ class Transport {
 class HostRuntime {
  public:
   // Pause between consecutive activations of one node; keeps a node from
-  // spinning a core.
+  // spinning a core. Timer slack stretches it to ~75 us (see above).
   static constexpr std::chrono::microseconds kActivationPause{20};
   // How often run() re-evaluates its done-predicate.
   static constexpr std::chrono::milliseconds kAwaitPoll{1};
@@ -164,6 +184,8 @@ class HostRuntime {
     std::uint64_t filter_drops = 0;  // per-edge drop discards
     std::uint64_t filter_duplicates = 0;
     std::uint64_t down_drops = 0;    // LinkDown discards
+    // Send side: same-activation copies never handed to the transport.
+    std::uint64_t coalesced_sends = 0;
   };
   // Summed over every hosted node; safe to read concurrently.
   FilterStats filter_stats() const;
@@ -182,6 +204,7 @@ class HostRuntime {
     std::atomic<std::uint64_t> filter_drops{0};
     std::atomic<std::uint64_t> filter_duplicates{0};
     std::atomic<std::uint64_t> down_drops{0};
+    std::atomic<std::uint64_t> coalesced_sends{0};
   };
   struct Node {
     int id = -1;

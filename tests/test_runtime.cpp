@@ -12,6 +12,7 @@
 #include "fault/runtime_injector.hpp"
 #include "net/socket_runtime.hpp"
 #include "runtime/thread_runtime.hpp"
+#include "test_util.hpp"
 
 namespace snapstab::runtime {
 namespace {
@@ -327,6 +328,29 @@ TEST(ThreadRuntime, EdgeDownStopsDeliveriesUntilCleared) {
   EXPECT_TRUE(rt.run(pif_done, 10s));
   rt.shutdown();
   EXPECT_GT(rt.filter_stats().delivered, cut.delivered);
+}
+
+// One frame per out-edge per activation: a copy of the message the same
+// activation already handed the transport on that edge is never sent.
+const Message kM = Message::pif(Value::integer(7), Value::none(), 1, 0);
+const Message kM2 = Message::pif(Value::integer(7), Value::none(), 2, 0);
+
+TEST(ThreadRuntime, SameActivationDuplicateSendIsCoalesced) {
+  ThreadRuntime rt(2, {.mailbox_capacity = 2, .seed = 41});
+  ASSERT_TRUE(run_send_script(rt, {{kM, kM, kM2}}));
+  const Mailbox::Stats box = rt.mailbox(0, 1).stats();
+  EXPECT_EQ(box.pushed, 2u);
+  EXPECT_EQ(box.lost_on_full, 0u);
+  EXPECT_EQ(rt.filter_stats().coalesced_sends, 1u);
+}
+
+TEST(ThreadRuntime, SameMessageInConsecutiveActivationsIsSentTwice) {
+  ThreadRuntime rt(2, {.mailbox_capacity = 2, .seed = 43});
+  ASSERT_TRUE(run_send_script(rt, {{kM}, {kM}}));
+  const Mailbox::Stats box = rt.mailbox(0, 1).stats();
+  EXPECT_EQ(box.pushed, 2u);
+  EXPECT_EQ(box.lost_on_full, 0u);
+  EXPECT_EQ(rt.filter_stats().coalesced_sends, 0u);
 }
 
 }  // namespace

@@ -51,6 +51,7 @@
 #include "svc/client.hpp"
 #include "svc/host.hpp"
 #include "svc/supervisor.hpp"
+#include "test_util.hpp"
 
 namespace snapstab {
 namespace {
@@ -575,6 +576,20 @@ TEST(SocketLoopback, RecoversFromInjectedDatagramLoss) {
   for (const auto& s : sessions)
     EXPECT_TRUE(client.result(s).completed)
         << svc::service_name(s.key.service) << " repro: seed=" << kSeed;
+}
+
+TEST(SocketLoopback, SameActivationDuplicateSendIsCoalesced) {
+  // One frame per out-edge per activation: the second M of the first tick
+  // is never handed to the socket; the M of the next tick is.
+  const Message m = Message::pif(Value::integer(7), Value::none(), 1, 0);
+  const Message m2 = Message::pif(Value::integer(7), Value::none(), 2, 0);
+  net::SocketRuntime srt(2, {.seed = 47});
+  ASSERT_TRUE(runtime::run_send_script(srt, {{m, m, m2}, {m}}));
+  const auto stats = srt.wire_stats();
+  const std::uint64_t issued = 4;
+  EXPECT_EQ(stats.coalesced_sends, 1u);
+  EXPECT_EQ(stats.datagrams_sent + stats.coalesced_sends, issued);
+  expect_wire_accounting(stats, srt.topology());
 }
 
 TEST(SocketLoopback, SupervisorSettlesARequest) {

@@ -2,10 +2,13 @@
 #ifndef SNAPSTAB_TESTS_TEST_UTIL_HPP
 #define SNAPSTAB_TESTS_TEST_UTIL_HPP
 
+#include <chrono>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <vector>
 
+#include "runtime/host_runtime.hpp"
 #include "sim/process.hpp"
 #include "sim/simulator.hpp"
 #include "svc/client.hpp"
@@ -38,7 +41,46 @@ class ProbeProcess final : public Process {
   void randomize(Rng&) override {}
 };
 
+// A ProbeProcess whose k-th tick sends script[k-1] on channel 0, in order;
+// its tick is disabled once the script is spent.
+inline std::unique_ptr<ProbeProcess> scripted_sender(
+    std::vector<std::vector<Message>> script) {
+  auto probe = std::make_unique<ProbeProcess>();
+  ProbeProcess* raw = probe.get();
+  probe->enabled = !script.empty();
+  probe->tick_fn = [raw, script = std::move(script)](Context& ctx) {
+    for (const Message& m : script[static_cast<std::size_t>(raw->ticks - 1)])
+      ctx.send(0, m);
+    if (raw->ticks == static_cast<int>(script.size())) raw->enabled = false;
+  };
+  return probe;
+}
+
 }  // namespace snapstab::sim
+
+namespace snapstab::runtime {
+
+// Hosts scripted_sender(script) on node 0 of a two-node runtime and a
+// receive-only probe on node 1, runs until the script is spent, then shuts
+// the runtime down so its counters are final. Returns whether the script
+// ran to its end.
+inline bool run_send_script(HostRuntime& rt,
+                            std::vector<std::vector<Message>> script) {
+  rt.add_process(sim::scripted_sender(std::move(script)));
+  auto sink = std::make_unique<sim::ProbeProcess>();
+  sink->enabled = false;
+  rt.add_process(std::move(sink));
+  const bool spent = rt.run(
+      [&rt] {
+        return rt.with_process<sim::ProbeProcess>(
+            0, [](const sim::ProbeProcess& p) { return !p.enabled; });
+      },
+      std::chrono::seconds(10));
+  rt.shutdown();
+  return spent;
+}
+
+}  // namespace snapstab::runtime
 
 namespace snapstab {
 
